@@ -1,6 +1,6 @@
 #include "core/column_store.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 
 #include "util/check.h"
@@ -9,30 +9,67 @@
 namespace ifsketch::core {
 namespace {
 
-// Minimum queries per ParallelFor chunk. A query is a handful of passes
-// over n/64 words; batches below this are cheaper answered inline than
-// scheduled.
-constexpr std::size_t kSupportGrain = 32;
+// The Apriori sibling relation: `a` and `b` (ascending attribute lists)
+// have the same size and agree on all but their last attribute, so they
+// can share one (|a|-1)-prefix AND accumulator.
+bool SharesAprioriPrefix(const std::vector<std::size_t>& a,
+                         const std::vector<std::size_t>& b) {
+  return a.size() == b.size() && !a.empty() &&
+         std::equal(a.begin(), a.end() - 1, b.begin());
+}
 
-}  // namespace
-
-ColumnStore::ColumnStore(const Database& db) : n_(db.num_rows()) {
-  columns_.assign(db.num_columns(), util::BitVector(n_));
-  // One pass over the row words; each set bit scatters into its column.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const util::BitVector& row = db.Row(i);
-    const std::uint64_t* words = row.data();
-    for (std::size_t wi = 0; wi < row.num_words(); ++wi) {
-      std::uint64_t w = words[wi];
-      while (w != 0) {
-        const std::size_t j =
-            wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-        columns_[j].Set(i, true);
-        w &= w - 1;
-      }
+// Transposes a 64x64 bit block in place: bit j of block[i] trades places
+// with bit i of block[j]. Six rounds of block swaps, halving the block
+// width each round (Hacker's Delight 7-3, in LSB-first bit order).
+void Transpose64(std::uint64_t* block) {
+  std::uint64_t mask = 0x00000000ffffffffULL;
+  for (std::size_t width = 32; width != 0;
+       width >>= 1, mask ^= mask << width) {
+    for (std::size_t k = 0; k < 64; k = ((k | width) + 1) & ~width) {
+      const std::uint64_t t = ((block[k] >> width) ^ block[k | width]) & mask;
+      block[k] ^= t << width;
+      block[k | width] ^= t;
     }
   }
 }
+
+// Transposes n rows of d bits into d columns, 64x64 bits at a time;
+// row_bits(i, attr, width) returns bits [attr, attr+width) of row i.
+template <typename RowBits>
+std::vector<util::BitVector> TransposeRows(std::size_t n, std::size_t d,
+                                           RowBits row_bits) {
+  std::vector<std::vector<std::uint64_t>> words(
+      d, std::vector<std::uint64_t>((n + 63) / 64, 0));
+  std::uint64_t block[64];
+  for (std::size_t first = 0; first < n; first += 64) {
+    const std::size_t rows = n - first < 64 ? n - first : 64;
+    for (std::size_t attr = 0; attr < d; attr += 64) {
+      const std::size_t width = d - attr < 64 ? d - attr : 64;
+      for (std::size_t i = 0; i < 64; ++i) {
+        block[i] = i < rows ? row_bits(first + i, attr, width) : 0;
+      }
+      Transpose64(block);
+      for (std::size_t j = 0; j < width; ++j) {
+        words[attr + j][first / 64] = block[j];
+      }
+    }
+  }
+  std::vector<util::BitVector> columns;
+  for (auto& column : words) {
+    columns.push_back(util::BitVector::AdoptWords(std::move(column), n));
+  }
+  return columns;
+}
+
+}  // namespace
+
+ColumnStore::ColumnStore(const Database& db)
+    : ColumnStore(db.num_rows(),
+                  TransposeRows(db.num_rows(), db.num_columns(),
+                                [&db](std::size_t i, std::size_t attr,
+                                      std::size_t width) {
+                                  return db.Row(i).GetBits(attr, width);
+                                })) {}
 
 ColumnStore::ColumnStore(std::size_t n, std::vector<util::BitVector> columns)
     : n_(n), columns_(std::move(columns)) {
@@ -54,33 +91,30 @@ ColumnStore ColumnStore::FromColumnWords(const std::uint64_t* base,
 }
 
 ColumnStore ColumnStore::FromRowMajorBits(const util::BitVector& bits,
-                                          std::size_t d) {
+                                          std::size_t d,
+                                          const std::vector<RowRun>& runs) {
   IFSKETCH_CHECK_GT(d, 0u);
-  IFSKETCH_CHECK_EQ(bits.size() % d, 0u);
-  const std::size_t n = bits.size() / d;
-  std::vector<util::BitVector> columns(d, util::BitVector(n));
-  const std::uint64_t* words = bits.data();
-  for (std::size_t wi = 0; wi < bits.num_words(); ++wi) {
-    std::uint64_t w = words[wi];
-    while (w != 0) {
-      const std::size_t bit =
-          wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-      columns[bit % d].Set(bit / d, true);
-      w &= w - 1;
+  std::vector<std::size_t> starts;  // the start bit of every row
+  for (const RowRun& run : runs) {
+    IFSKETCH_CHECK_GE(run.stride_bits, d);
+    for (std::size_t i = 0; i < run.rows; ++i) {
+      starts.push_back(run.first_bit + i * run.stride_bits);
     }
+    IFSKETCH_CHECK(run.rows == 0 || starts.back() + d <= bits.size());
   }
-  return ColumnStore(n, std::move(columns));
+  return ColumnStore(
+      starts.size(),
+      TransposeRows(starts.size(), d,
+                    [&](std::size_t i, std::size_t attr, std::size_t width) {
+                      return bits.GetBits(starts[i] + attr, width);
+                    }));
 }
 
 std::size_t ColumnStore::SupportCount(const Itemset& t) const {
   IFSKETCH_CHECK_EQ(t.universe(), columns_.size());
-  const auto attrs = t.Attributes();
-  if (attrs.empty()) return n_;
-  if (attrs.size() == 1) return columns_[attrs[0]].Count();
-  std::vector<const util::BitVector*> operands;
-  operands.reserve(attrs.size());
-  for (std::size_t a : attrs) operands.push_back(&columns_[a]);
-  return util::BitVector::AndCountMany(operands);
+  std::size_t count = 0;
+  CountRange(&t, 1, &count);
+  return count;
 }
 
 void ColumnStore::SupportCounts(const std::vector<Itemset>& ts,
@@ -93,14 +127,13 @@ void ColumnStore::SupportCounts(const std::vector<Itemset>& ts,
   }
   std::size_t* out = counts->data();
   util::ThreadPool::Default().ParallelFor(
-      0, ts.size(), kSupportGrain,
+      0, ts.size(), kQueryGrain,
       [this, &ts, out](std::size_t first, std::size_t last) {
-        CountRange(ts, first, last, out);
+        CountRange(ts.data() + first, last - first, out + first);
       });
 }
 
-void ColumnStore::CountRange(const std::vector<Itemset>& ts,
-                             std::size_t first, std::size_t last,
+void ColumnStore::CountRange(const Itemset* ts, std::size_t count,
                              std::size_t* counts) const {
   // Chunk-local prefix accumulator: `prefix` is the AND of all but the
   // last attribute of the query in `prefix_attrs` (empty = no cached
@@ -111,9 +144,9 @@ void ColumnStore::CountRange(const std::vector<Itemset>& ts,
   std::vector<const util::BitVector*> operands;
   std::vector<std::size_t> attrs;
   std::vector<std::size_t> next_attrs;
-  if (first < last) attrs = ts[first].Attributes();
-  for (std::size_t q = first; q < last; ++q) {
-    const bool has_next = q + 1 < last;
+  if (count > 0) attrs = ts[0].Attributes();
+  for (std::size_t q = 0; q < count; ++q) {
+    const bool has_next = q + 1 < count;
     if (has_next) next_attrs = ts[q + 1].Attributes();
     if (attrs.empty()) {
       counts[q] = n_;

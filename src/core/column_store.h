@@ -7,8 +7,8 @@
 // the word-parallel AND of T's columns -- O(n/64 * |T|) instead of
 // O(n * d/64).
 //
-// SupportCounts is the hot path behind every batched sketch query
-// (EstimateMany / AreFrequent / Apriori levels). It layers three
+// SupportCounts is the hot path behind every batched uniform-sample
+// query (EstimateMany / AreFrequent / Apriori levels). It layers three
 // optimizations on the naive per-query loop, none of which changes a
 // single count:
 //   1. Fan-out: the batch is split into contiguous chunks run on
@@ -37,37 +37,45 @@
 
 namespace ifsketch::core {
 
-/// The Apriori sibling relation: true when `a` and `b` have the same
-/// cardinality and agree on every attribute but their last, so they can
-/// share one (|a|-1)-prefix AND accumulator. Both vectors must be
-/// ascending attribute lists (Itemset::Attributes() order).
-inline bool SharesAprioriPrefix(const std::vector<std::size_t>& a,
-                                const std::vector<std::size_t>& b) {
-  if (a.size() != b.size() || a.empty()) return false;
-  for (std::size_t i = 0; i + 1 < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
 /// Immutable column-major view of a database, for fast frequency queries.
 class ColumnStore {
  public:
-  /// Transposes `db` in one pass over its row words (O(n*d) bit work,
-  /// unavoidable when starting from rows).
+  /// Minimum queries per thread-pool chunk in the batched query paths
+  /// (here and in the sample estimators over a store).
+  static constexpr std::size_t kQueryGrain = 32;
+
+  /// `rows` rows of d bits inside a packed bit string, row i at bit
+  /// first_bit + i * stride_bits; what lies between rows (header fields,
+  /// per-row weights) is skipped, so stride_bits >= d.
+  struct RowRun {
+    std::size_t first_bit = 0;
+    std::size_t rows = 0;
+    std::size_t stride_bits = 0;
+  };
+
+  /// Transposes `db`, 64 rows x 64 attributes at a time.
   explicit ColumnStore(const Database& db);
 
   /// Adopts already-transposed columns without copying: O(d) moves.
   /// Every column must be `n` bits.
   ColumnStore(std::size_t n, std::vector<util::BitVector> columns);
 
-  /// Decodes a row-major bit string (bits.size() / d rows of d bits --
-  /// the payload layout of RELEASE-DB and the sample summaries)
-  /// straight into columns, skipping the intermediate row Database a
-  /// decode-then-transpose would materialize. Preconditions: d > 0,
-  /// bits.size() divisible by d.
+  /// The one row decoder behind every sample-based loader: the rows of
+  /// `runs`, in order, straight into columns. Rows are gathered a word
+  /// at a time and transposed 64x64 bits at a time, so the cost follows
+  /// the payload size, not its density. Preconditions: d > 0, every run
+  /// lies inside `bits` with stride_bits >= d.
   static ColumnStore FromRowMajorBits(const util::BitVector& bits,
-                                      std::size_t d);
+                                      std::size_t d,
+                                      const std::vector<RowRun>& runs);
+
+  /// The whole bit string as bits.size() / d rows of d bits (a
+  /// row-major payload).
+  static ColumnStore FromRowMajorBits(const util::BitVector& bits,
+                                      std::size_t d) {
+    IFSKETCH_CHECK(d > 0 && bits.size() % d == 0);
+    return FromRowMajorBits(bits, d, {RowRun{0, bits.size() / d, d}});
+  }
 
   /// View mode: borrows `d` already-transposed columns laid out at
   /// `stride_words`-word intervals starting at `base` (column j's words
@@ -102,11 +110,11 @@ class ColumnStore {
   }
 
  private:
-  // Serial kernel behind SupportCounts: answers queries [first, last)
-  // into counts[first..last). Chunk-local state only, so chunks can run
+  // Serial kernel behind SupportCount(s): answers ts[0..count) into
+  // counts[0..count). Chunk-local state only, so chunks can run
   // concurrently.
-  void CountRange(const std::vector<Itemset>& ts, std::size_t first,
-                  std::size_t last, std::size_t* counts) const;
+  void CountRange(const Itemset* ts, std::size_t count,
+                  std::size_t* counts) const;
 
   std::size_t n_;
   std::vector<util::BitVector> columns_;

@@ -169,15 +169,16 @@ class SketchAlgorithm {
   virtual std::size_t PredictedSizeBits(std::size_t n, std::size_t d,
                                         const SketchParams& params) const = 0;
 
-  /// True when Build()'s payload is one row-major sample of width d --
-  /// summary.size()/d rows of d bits, nothing else -- so that transposing
-  /// the summary at width d yields exactly the columns the loaders query.
+  /// True when Build()'s payload is rows of width d and nothing else --
+  /// summary.size()/d rows of d bits -- so that transposing the summary
+  /// at width d yields exactly the columns the loaders query: one sample
+  /// answered by its sample frequency (RELEASE-DB, SUBSAMPLE,
+  /// SUBSAMPLE-WOR, STREAM-SUBSAMPLE), or MEDIAN-BOOST's m copies of one.
   /// The sketch-file layer uses this to frame a 64-byte-aligned
   /// column-major arena section next to the payload, and the mapped load
   /// path to hand those columns to LoadEstimatorFromColumns without
-  /// copying. Algorithms whose payload carries anything besides the raw
-  /// sample rows (header fields, concatenated inner summaries, answer
-  /// tables) must leave this false.
+  /// copying. Payloads with anything besides rows (header fields, per-row
+  /// weights, answer tables) must leave this false.
   virtual bool HasRowMajorPayload(const SketchParams& params) const {
     (void)params;
     return false;

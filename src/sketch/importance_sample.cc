@@ -1,120 +1,15 @@
 #include "sketch/importance_sample.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/column_store.h"
+#include "sketch/column_sample_estimator.h"
 #include "sketch/subsample.h"
 #include "util/bitio.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ifsketch::sketch {
-namespace {
-
-/// Horvitz-Thompson estimator over weighted samples: with q_i
-/// proportional to w(r_i), E[(1/s) sum I{T in r_i} * mean_w / w(r_i)]
-/// = f_T, where mean_w = W/n is carried in the summary.
-///
-/// The sample is transposed into a column store and the per-row
-/// coefficients mean_w / w(r_i) are evaluated once, both at load time,
-/// so the view is immutable afterwards and safe to query concurrently.
-/// Every path -- scalar, batched, parallel chunks -- accumulates hits in
-/// ascending row order with the same per-row terms, so the
-/// floating-point sum (and therefore the answer) is bit-identical
-/// everywhere. Batched queries fan out across the default thread pool
-/// and share prefix accumulators between adjacent sibling queries.
-class HtEstimator : public core::FrequencyEstimator {
- public:
-  HtEstimator(const core::Database& sample, double mean_weight,
-              const ImportanceSampleSketch::WeightFn& weight)
-      : columns_(sample) {
-    coefficients_.resize(sample.num_rows());
-    for (std::size_t i = 0; i < sample.num_rows(); ++i) {
-      coefficients_[i] = mean_weight / weight(sample.Row(i));
-    }
-  }
-
-  double EstimateFrequency(const core::Itemset& t) const override {
-    const std::size_t s = columns_.num_rows();
-    if (s == 0) return 0.0;
-    double acc = 0.0;
-    const auto attrs = t.Attributes();
-    if (attrs.empty()) {
-      for (std::size_t i = 0; i < s; ++i) acc += coefficients_[i];
-    } else {
-      util::BitVector hits = columns_.Column(attrs[0]);
-      for (std::size_t i = 1; i < attrs.size(); ++i) {
-        hits &= columns_.Column(attrs[i]);
-      }
-      for (std::size_t i : hits.SetBits()) acc += coefficients_[i];
-    }
-    const double est = acc / static_cast<double>(s);
-    return est < 0.0 ? 0.0 : (est > 1.0 ? 1.0 : est);
-  }
-
-  void EstimateMany(const std::vector<core::Itemset>& ts,
-                    std::vector<double>* answers) const override {
-    if (columns_.num_rows() == 0) {
-      answers->assign(ts.size(), 0.0);
-      return;
-    }
-    answers->resize(ts.size());
-    double* out = answers->data();
-    util::ThreadPool::Default().ParallelFor(
-        0, ts.size(), /*grain=*/16,
-        [this, &ts, out](std::size_t first, std::size_t last) {
-          EstimateRange(ts, first, last, out);
-        });
-  }
-
- private:
-  // Serial kernel over queries [first, last): chunk-local scratch only.
-  // This walks sibling runs like ColumnStore::CountRange but diverges
-  // deliberately: CountRange needs only counts, so isolated queries can
-  // take the fused no-accumulator AndCountMany path; here the hit ROWS
-  // must be materialized to gather coefficients, so the prefix is always
-  // built and there is no fused fallback to dispatch between.
-  void EstimateRange(const std::vector<core::Itemset>& ts, std::size_t first,
-                     std::size_t last, double* answers) const {
-    const std::size_t s = columns_.num_rows();
-    util::BitVector prefix;  // AND of all but the last attr of prefix_attrs
-    util::BitVector hits;
-    std::vector<std::size_t> prefix_attrs;
-    std::vector<std::size_t> attrs;
-    std::vector<std::size_t> next_attrs;
-    if (first < last) attrs = ts[first].Attributes();
-    for (std::size_t q = first; q < last; ++q) {
-      if (q + 1 < last) next_attrs = ts[q + 1].Attributes();
-      double acc = 0.0;
-      if (attrs.empty()) {
-        for (std::size_t i = 0; i < s; ++i) acc += coefficients_[i];
-      } else if (attrs.size() == 1) {
-        for (std::size_t i : columns_.Column(attrs[0]).SetBits()) {
-          acc += coefficients_[i];
-        }
-      } else {
-        if (!core::SharesAprioriPrefix(prefix_attrs, attrs)) {
-          prefix = columns_.Column(attrs[0]);
-          for (std::size_t i = 1; i + 1 < attrs.size(); ++i) {
-            prefix &= columns_.Column(attrs[i]);
-          }
-          prefix_attrs = attrs;
-        }
-        hits = prefix;
-        hits &= columns_.Column(attrs.back());
-        for (std::size_t i : hits.SetBits()) acc += coefficients_[i];
-      }
-      const double est = acc / static_cast<double>(s);
-      answers[q] = est < 0.0 ? 0.0 : (est > 1.0 ? 1.0 : est);
-      attrs.swap(next_attrs);
-    }
-  }
-
-  core::ColumnStore columns_;
-  std::vector<double> coefficients_;  // mean_w / w(r_i), ascending row order
-};
-
-}  // namespace
 
 ImportanceSampleSketch::ImportanceSampleSketch()
     : weight_([](const util::BitVector& row) {
@@ -181,11 +76,21 @@ ImportanceSampleSketch::LoadEstimator(const util::BitVector& summary,
       static_cast<double>(1 << 20);
   IFSKETCH_CHECK_EQ(reader.Remaining() % d, 0u);
   const std::size_t s = reader.Remaining() / d;
-  std::vector<util::BitVector> rows;
-  rows.reserve(s);
-  for (std::size_t i = 0; i < s; ++i) rows.push_back(reader.ReadBits(d));
-  return std::make_unique<HtEstimator>(
-      core::Database::FromRows(std::move(rows)), mean_weight, weight_);
+  // Horvitz-Thompson: with q_i proportional to w(r_i),
+  // E[(1/s) sum I{T in r_i} * mean_w / w(r_i)] = f_T. The weight
+  // function sees each row as a view over one reused scratch row.
+  std::vector<double> coefficients(s);
+  std::vector<std::uint64_t> row((d + 63) / 64);
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t w = 0; w < row.size(); ++w) {
+      row[w] = summary.GetBits(kWeightBits + i * d + w * 64,
+                               std::min<std::size_t>(64, d - w * 64));
+    }
+    coefficients[i] = mean_weight / weight_(util::BitVector::View(row.data(), d));
+  }
+  return std::make_unique<ColumnSampleEstimator>(
+      core::ColumnStore::FromRowMajorBits(summary, d, {{kWeightBits, s, d}}),
+      std::move(coefficients));
 }
 
 std::size_t ImportanceSampleSketch::PredictedSizeBits(

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -10,10 +12,9 @@
 namespace ifsketch::sketch {
 namespace {
 
-/// Answers with the median over the loaded copies. Batched queries are
-/// forwarded to each copy's batched path (so e.g. a SUBSAMPLE inner copy
-/// transposes its sample once for the whole batch); the median of the
-/// same per-copy values is the same answer, scalar or batched.
+/// The median over separately loaded copies, for inners whose copies are
+/// not row groups (no row-major payload): every query goes through each
+/// copy's batched path, whose answers equal its scalar ones.
 class MedianEstimator : public core::FrequencyEstimator {
  public:
   explicit MedianEstimator(
@@ -21,12 +22,9 @@ class MedianEstimator : public core::FrequencyEstimator {
       : copies_(std::move(copies)) {}
 
   double EstimateFrequency(const core::Itemset& t) const override {
-    std::vector<double> answers;
-    answers.reserve(copies_.size());
-    for (const auto& c : copies_) answers.push_back(c->EstimateFrequency(t));
-    std::nth_element(answers.begin(), answers.begin() + answers.size() / 2,
-                     answers.end());
-    return answers[answers.size() / 2];
+    std::vector<double> answer;
+    EstimateMany({t}, &answer);
+    return answer[0];
   }
 
   void EstimateMany(const std::vector<core::Itemset>& ts,
@@ -50,6 +48,41 @@ class MedianEstimator : public core::FrequencyEstimator {
  private:
   std::vector<std::unique_ptr<core::FrequencyEstimator>> copies_;
 };
+
+/// The m copies as m equal row groups. Dividing by the copy size is
+/// monotone, so the median frequency is the median count over it: the
+/// same double, for one division instead of m.
+std::unique_ptr<core::FrequencyEstimator> MedianOfRowGroups(
+    core::ColumnStore columns, std::size_t copies) {
+  IFSKETCH_CHECK_EQ(columns.num_rows() % copies, 0u);
+  const std::size_t rows = columns.num_rows() / copies;
+  std::vector<std::size_t> bounds(copies + 1);
+  for (std::size_t c = 0; c <= copies; ++c) bounds[c] = c * rows;
+  auto median = [rows](std::span<const std::size_t> counts,
+                       std::span<double> values) {
+    std::copy(counts.begin(), counts.end(), values.begin());
+    std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                     values.end());
+    return rows == 0 ? 0.0
+                     : values[values.size() / 2] / static_cast<double>(rows);
+  };
+  return std::make_unique<ColumnSampleEstimator>(
+      std::move(columns), std::move(bounds), std::move(median));
+}
+
+/// ORs the words of `bits` into `out` starting at bit `at`.
+void OrBitsAt(const util::BitVector& bits, std::size_t at,
+              std::vector<std::uint64_t>* out) {
+  const std::size_t shift = at & 63;
+  std::uint64_t* dst = out->data() + (at >> 6);
+  for (std::size_t w = 0; w < bits.num_words(); ++w) {
+    const std::uint64_t word = bits.data()[w];
+    dst[w] |= word << shift;
+    if (shift != 0 && (word >> (64 - shift)) != 0) {
+      dst[w + 1] |= word >> (64 - shift);
+    }
+  }
+}
 
 }  // namespace
 
@@ -90,20 +123,21 @@ util::BitVector MedianBoostSketch::Build(const core::Database& db,
   const std::size_t m = CopyCount(params, db.num_columns());
   const std::size_t inner_bits =
       inner_->PredictedSizeBits(db.num_rows(), db.num_columns(), ip);
-  util::BitVector out(m * inner_bits);
+  std::vector<std::uint64_t> words((m * inner_bits + 63) / 64, 0);
   for (std::size_t c = 0; c < m; ++c) {
     const util::BitVector copy = inner_->Build(db, ip, rng);
     IFSKETCH_CHECK_EQ(copy.size(), inner_bits);
-    for (std::size_t b = 0; b < inner_bits; ++b) {
-      out.Set(c * inner_bits + b, copy.Get(b));
-    }
+    OrBitsAt(copy, c * inner_bits, &words);
   }
-  return out;
+  return util::BitVector::AdoptWords(std::move(words), m * inner_bits);
 }
 
 std::unique_ptr<core::FrequencyEstimator> MedianBoostSketch::LoadEstimator(
     const util::BitVector& summary, const core::SketchParams& params,
     std::size_t d, std::size_t n) const {
+  if (HasRowMajorPayload(params)) {
+    return RowMajorSketch::LoadEstimator(summary, params, d, n);
+  }
   const core::SketchParams ip = InnerParams(params);
   const std::size_t m = CopyCount(params, d);
   IFSKETCH_CHECK_EQ(summary.size() % m, 0u);
@@ -115,6 +149,17 @@ std::unique_ptr<core::FrequencyEstimator> MedianBoostSketch::LoadEstimator(
         summary.Slice(c * inner_bits, inner_bits), ip, d, n));
   }
   return std::make_unique<MedianEstimator>(std::move(copies));
+}
+
+std::unique_ptr<core::FrequencyEstimator>
+MedianBoostSketch::LoadEstimatorFromColumns(core::ColumnStore columns,
+                                            const util::BitVector& summary,
+                                            const core::SketchParams& params,
+                                            std::size_t d,
+                                            std::size_t /*n*/) const {
+  IFSKETCH_CHECK(HasRowMajorPayload(params));
+  IFSKETCH_CHECK_EQ(columns.num_rows() * d, summary.size());
+  return MedianOfRowGroups(std::move(columns), CopyCount(params, d));
 }
 
 std::size_t MedianBoostSketch::PredictedSizeBits(

@@ -10,13 +10,14 @@
 
 #include <memory>
 
-#include "core/sketch.h"
+#include "sketch/column_sample_estimator.h"
 
 namespace ifsketch::sketch {
 
 /// Wraps a For-Each estimator algorithm into a For-All one via
-/// median-of-copies.
-class MedianBoostSketch : public core::SketchAlgorithm {
+/// median-of-copies. Copies of a row-major inner are m*s rows, answered
+/// as m row groups of one column store; other inners load copy by copy.
+class MedianBoostSketch : public RowMajorSketch {
  public:
   /// `inner` is run with Scope::kForEach regardless of the outer scope;
   /// `copies_scale` multiplies the copy count (1.0 = the paper's 10 ln(..)).
@@ -32,6 +33,18 @@ class MedianBoostSketch : public core::SketchAlgorithm {
   std::unique_ptr<core::FrequencyEstimator> LoadEstimator(
       const util::BitVector& summary, const core::SketchParams& params,
       std::size_t d, std::size_t n) const override;
+
+  /// True when the copies are samples answered by their sample
+  /// frequencies: a row-major inner that is not itself MEDIAN-BOOST.
+  bool HasRowMajorPayload(const core::SketchParams& params) const override {
+    return inner_->HasRowMajorPayload(InnerParams(params)) &&
+           dynamic_cast<const MedianBoostSketch*>(inner_.get()) == nullptr;
+  }
+
+  std::unique_ptr<core::FrequencyEstimator> LoadEstimatorFromColumns(
+      core::ColumnStore columns, const util::BitVector& summary,
+      const core::SketchParams& params, std::size_t d,
+      std::size_t n) const override;
 
   std::size_t PredictedSizeBits(std::size_t n, std::size_t d,
                                 const core::SketchParams& params) const override;

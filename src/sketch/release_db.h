@@ -6,12 +6,13 @@
 #ifndef IFSKETCH_SKETCH_RELEASE_DB_H_
 #define IFSKETCH_SKETCH_RELEASE_DB_H_
 
-#include "core/sketch.h"
+#include "sketch/column_sample_estimator.h"
 
 namespace ifsketch::sketch {
 
-/// The verbatim-database sketch.
-class ReleaseDbSketch : public core::SketchAlgorithm {
+/// The verbatim-database sketch: n rows of d bits (a row-major payload),
+/// answered exactly as the sample frequency over every row.
+class ReleaseDbSketch : public RowMajorSketch {
  public:
   std::string name() const override { return "RELEASE-DB"; }
 
@@ -19,27 +20,7 @@ class ReleaseDbSketch : public core::SketchAlgorithm {
                         const core::SketchParams& params,
                         util::Rng& rng) const override;
 
-  std::unique_ptr<core::FrequencyEstimator> LoadEstimator(
-      const util::BitVector& summary, const core::SketchParams& params,
-      std::size_t d, std::size_t n) const override;
-
-  /// The summary is the database verbatim: n rows of d bits, so the
-  /// arena writer frames a column section and the mapped load path
-  /// queries it with no decode (answers remain exact).
-  bool HasRowMajorPayload(const core::SketchParams& params) const override {
-    (void)params;
-    return true;
-  }
-
   std::unique_ptr<core::FrequencyEstimator> LoadEstimatorFromColumns(
-      core::ColumnStore columns, const util::BitVector& summary,
-      const core::SketchParams& params, std::size_t d,
-      std::size_t n) const override;
-
-  /// Mirrors the base LoadIndicator default (threshold at 0.75*eps) over
-  /// the zero-copy estimator, so mapped indicator queries skip the
-  /// transpose too and stay bit-identical to the copying path.
-  std::unique_ptr<core::FrequencyIndicator> LoadIndicatorFromColumns(
       core::ColumnStore columns, const util::BitVector& summary,
       const core::SketchParams& params, std::size_t d,
       std::size_t n) const override;

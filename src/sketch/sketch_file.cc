@@ -246,7 +246,7 @@ bool ReadArenaBody(StreamCursor& cursor, std::uint64_t bits, std::size_t d,
 
 // The trailer-less serialization shared by both WriteSketch modes.
 bool WriteSketchBody(std::ostream& out, const SketchFile& file,
-                     std::uint16_t version) {
+                     std::uint16_t version, ColumnSection columns) {
   // Refuse to emit a file ReadSketch would reject: nothing serializable
   // may be unloadable. The name length must fit its u16 header field.
   if (!core::ValidSketchParams(file.params)) return false;
@@ -288,7 +288,8 @@ bool WriteSketchBody(std::ostream& out, const SketchFile& file,
     // hand to ColumnStore::FromColumnWords verbatim.
     const std::uint64_t summary_words = (bits + 63) / 64;
     const auto algo = ResolveAlgorithm(file);
-    const bool with_columns = algo != nullptr &&
+    const bool with_columns = columns == ColumnSection::kAuto &&
+                              algo != nullptr &&
                               algo->HasRowMajorPayload(file.params) &&
                               file.d > 0 && bits > 0 && bits % file.d == 0;
     const std::uint64_t rows = with_columns ? bits / file.d : 0;
@@ -340,18 +341,19 @@ bool WriteSketchBody(std::ostream& out, const SketchFile& file,
 }  // namespace
 
 bool WriteSketch(std::ostream& out, const SketchFile& file,
-                 std::uint16_t version, SketchChecksum checksum) {
+                 std::uint16_t version, SketchChecksum checksum,
+                 ColumnSection columns) {
   // v1 has no trailer slot, so a checksum request on a legacy file is
   // ignored rather than refused -- the caller's compatibility intent
   // (produce a v1 file) wins.
   if (checksum != SketchChecksum::kCrc32c ||
       version != arena::kVersionArena) {
-    return WriteSketchBody(out, file, version);
+    return WriteSketchBody(out, file, version, columns);
   }
   // Serialize to memory first: the trailer's CRC covers every body byte,
   // and buffering keeps this a single pass over the payload.
   std::ostringstream body(std::ios::binary);
-  if (!WriteSketchBody(body, file, version)) return false;
+  if (!WriteSketchBody(body, file, version, columns)) return false;
   const std::string bytes = body.str();
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.write(arena::kTrailerMagic, 4);

@@ -24,11 +24,12 @@
 //          queried through views with no decode (sketch/sketch_view.h).
 //       2  column words: present only when the producing algorithm
 //          declares a row-major payload (SketchAlgorithm::
-//          HasRowMajorPayload): the payload's bits/d rows transposed
-//          into d columns of bits/d bits, each column padded to
-//          arena::ColumnStrideWords(rows) words so every column starts
-//          64-byte aligned -- what ColumnStore::FromColumnWords adopts
-//          with zero copies.
+//          HasRowMajorPayload: a sample, or MEDIAN-BOOST's copies of
+//          one): the payload's bits/d rows transposed into d columns,
+//          each padded to arena::ColumnStrideWords(rows) words so every
+//          column starts 64-byte aligned -- what ColumnStore::
+//          FromColumnWords adopts with zero copies. Without it (older
+//          files) both load paths decode the summary.
 //     Sections appear in ascending kind order, each at the first
 //     64-byte boundary after its predecessor, padding bytes zero, and
 //     the file ends exactly where the last section ends. Everything is
@@ -120,6 +121,11 @@ enum class SketchChecksum : std::uint8_t {
   kCrc32c = 1,
 };
 
+/// kOmit writes a v2 file without the column section even when the
+/// algorithm reports a row-major payload (as files written before it
+/// did look).
+enum class ColumnSection : std::uint8_t { kAuto, kOmit };
+
 /// Everything needed to reload and query a summary.
 struct SketchFile {
   std::string algorithm;
@@ -147,7 +153,8 @@ struct SketchError {
 /// Returns false on I/O failure or an unwritable version.
 bool WriteSketch(std::ostream& out, const SketchFile& file,
                  std::uint16_t version = arena::kVersionArena,
-                 SketchChecksum checksum = SketchChecksum::kNone);
+                 SketchChecksum checksum = SketchChecksum::kNone,
+                 ColumnSection columns = ColumnSection::kAuto);
 
 /// Parses a stream written by WriteSketch (either version); nullopt on
 /// malformed input, with the reason and offset in *error when provided.

@@ -1,8 +1,10 @@
 #include "sketch/stratified_sample.h"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "sketch/column_sample_estimator.h"
 #include "util/bitio.h"
 #include "util/check.h"
 
@@ -10,30 +12,6 @@ namespace ifsketch::sketch {
 namespace {
 
 constexpr int kWeightBits = 32;  // fixed-point stratum weights
-
-struct Stratum {
-  double weight = 0.0;                     // n_h / n
-  core::Database sample;                   // sampled rows
-};
-
-class StratifiedEstimator : public core::FrequencyEstimator {
- public:
-  explicit StratifiedEstimator(std::vector<Stratum> strata)
-      : strata_(std::move(strata)) {}
-
-  double EstimateFrequency(const core::Itemset& t) const override {
-    double acc = 0.0;
-    for (const auto& s : strata_) {
-      if (s.sample.num_rows() > 0) {
-        acc += s.weight * s.sample.Frequency(t);
-      }
-    }
-    return acc < 0.0 ? 0.0 : (acc > 1.0 ? 1.0 : acc);
-  }
-
- private:
-  std::vector<Stratum> strata_;
-};
 
 }  // namespace
 
@@ -79,21 +57,35 @@ util::BitVector StratifiedSampler::Build(const core::Database& db,
 
 std::unique_ptr<core::FrequencyEstimator> StratifiedSampler::Load(
     const util::BitVector& summary, std::size_t d) const {
+  // Each stratum's sample is one row group after its size and weight.
   util::BitReader r(summary);
   const std::size_t strata = r.ReadUint(16);
-  std::vector<Stratum> loaded;
-  loaded.reserve(strata);
+  std::vector<double> weights;  // n_h / n
+  std::vector<core::ColumnStore::RowRun> runs;
+  std::vector<std::size_t> bounds = {0};
   for (std::size_t h = 0; h < strata; ++h) {
-    Stratum s;
     const std::size_t s_h = r.ReadUint(32);
-    s.weight = r.ReadQuantized(kWeightBits);
-    std::vector<util::BitVector> rows;
-    rows.reserve(s_h);
-    for (std::size_t j = 0; j < s_h; ++j) rows.push_back(r.ReadBits(d));
-    s.sample = core::Database::FromRows(std::move(rows));
-    loaded.push_back(std::move(s));
+    weights.push_back(r.ReadQuantized(kWeightBits));
+    runs.push_back({r.Position(), s_h, d});
+    r.Skip(s_h * d);
+    bounds.push_back(bounds.back() + s_h);
   }
-  return std::make_unique<StratifiedEstimator>(std::move(loaded));
+  // f = sum_h weight_h * f_h(sample_h) over the sampled strata, ascending.
+  auto rule = [weights, bounds](std::span<const std::size_t> support,
+                                std::span<double>) {
+    double acc = 0.0;
+    for (std::size_t h = 0; h < weights.size(); ++h) {
+      const std::size_t rows = bounds[h + 1] - bounds[h];
+      if (rows > 0) {
+        acc += weights[h] * (static_cast<double>(support[h]) /
+                             static_cast<double>(rows));
+      }
+    }
+    return acc < 0.0 ? 0.0 : (acc > 1.0 ? 1.0 : acc);
+  };
+  return std::make_unique<ColumnSampleEstimator>(
+      core::ColumnStore::FromRowMajorBits(summary, d, runs), std::move(bounds),
+      std::move(rule));
 }
 
 }  // namespace ifsketch::sketch

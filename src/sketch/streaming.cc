@@ -1,7 +1,9 @@
 #include "sketch/streaming.h"
 
 #include <bit>
+#include <span>
 
+#include "sketch/column_sample_estimator.h"
 #include "util/bitio.h"
 #include "util/check.h"
 
@@ -121,68 +123,6 @@ class ImportanceStreamBuilder : public StreamingBuilder {
   util::Rng* rng_;
 };
 
-/// Proportional recombination over the decoded strata: with support_h =
-/// |{slots of stratum h containing T}|, f = sum_h count_h * support_h /
-/// (total * c). Every term is an exact small integer product, summed in
-/// ascending stratum order and divided once, so scalar and batched
-/// answers (the default EstimateMany is a fan-out of this method) are
-/// bit-identical, and f <= 1 holds exactly (numerator <= total * c).
-class StratifiedEstimator : public core::FrequencyEstimator {
- public:
-  StratifiedEstimator(std::vector<std::uint64_t> counts,
-                      std::vector<std::vector<util::BitVector>> rows)
-      : counts_(std::move(counts)), rows_(std::move(rows)) {
-    for (std::uint64_t c : counts_) total_ += static_cast<double>(c);
-  }
-
-  double EstimateFrequency(const core::Itemset& t) const override {
-    if (total_ == 0.0) return 0.0;
-    const double slots = static_cast<double>(rows_.empty()
-                                                 ? 1
-                                                 : rows_.front().size());
-    double acc = 0.0;
-    for (std::size_t h = 0; h < counts_.size(); ++h) {
-      if (counts_[h] == 0) continue;
-      std::size_t support = 0;
-      for (const auto& row : rows_[h]) {
-        if (t.ContainedIn(row)) ++support;
-      }
-      acc += static_cast<double>(counts_[h]) * static_cast<double>(support);
-    }
-    return acc / (total_ * slots);
-  }
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::vector<std::vector<util::BitVector>> rows_;
-  double total_ = 0.0;
-};
-
-/// Horvitz-Thompson over the decoded weighted sample: f = (1/s)
-/// sum_slots I{T in row_i} * W / (n * w_i), coefficients evaluated once
-/// at load time, accumulated in ascending slot order, clamped to [0,1].
-class StreamHtEstimator : public core::FrequencyEstimator {
- public:
-  StreamHtEstimator(std::vector<util::BitVector> rows,
-                    std::vector<double> coefficients)
-      : rows_(std::move(rows)), coefficients_(std::move(coefficients)) {}
-
-  double EstimateFrequency(const core::Itemset& t) const override {
-    const std::size_t s = rows_.size();
-    if (s == 0) return 0.0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < s; ++i) {
-      if (t.ContainedIn(rows_[i])) acc += coefficients_[i];
-    }
-    const double est = acc / static_cast<double>(s);
-    return est < 0.0 ? 0.0 : (est > 1.0 ? 1.0 : est);
-  }
-
- private:
-  std::vector<util::BitVector> rows_;
-  std::vector<double> coefficients_;
-};
-
 }  // namespace
 
 util::BitVector ReplayBuild(const StreamingSketch& algorithm,
@@ -297,17 +237,34 @@ std::unique_ptr<core::FrequencyEstimator> StreamStratifiedSketch::LoadEstimator(
     std::size_t d, std::size_t /*n*/) const {
   const std::size_t slots = SlotsPerStratum(params, d);
   IFSKETCH_CHECK_EQ(summary.size(), kStrata * (64 + slots * d));
-  util::BitReader r(summary);
+  // Each stratum's slots are one row group after its 64-bit row count.
   std::vector<std::uint64_t> counts;
-  std::vector<std::vector<util::BitVector>> rows(kStrata);
-  counts.reserve(kStrata);
-  for (std::size_t h = 0; h < kStrata; ++h) {
-    counts.push_back(r.ReadUint(64));
-    rows[h].reserve(slots);
-    for (std::size_t i = 0; i < slots; ++i) rows[h].push_back(r.ReadBits(d));
+  std::vector<core::ColumnStore::RowRun> runs;
+  std::vector<std::size_t> bounds = {0};
+  for (std::size_t at = 0; at < summary.size(); at += 64 + slots * d) {
+    counts.push_back(summary.GetBits(at, 64));
+    runs.push_back({at + 64, slots, d});
+    bounds.push_back(bounds.back() + slots);
   }
-  return std::make_unique<StratifiedEstimator>(std::move(counts),
-                                               std::move(rows));
+  double total = 0.0;
+  for (std::uint64_t c : counts) total += static_cast<double>(c);
+  // Proportional recombination: with support_h the slots of stratum h
+  // containing T, f = sum_h count_h * support_h / (total * slots). Every
+  // term is an exact small integer product, summed in ascending stratum
+  // order and divided once, so f <= 1 holds exactly.
+  auto rule = [counts, total, slots = static_cast<double>(slots)](
+                  std::span<const std::size_t> support, std::span<double>) {
+    if (total == 0.0) return 0.0;
+    double acc = 0.0;
+    for (std::size_t h = 0; h < counts.size(); ++h) {
+      if (counts[h] == 0) continue;
+      acc += static_cast<double>(counts[h]) * static_cast<double>(support[h]);
+    }
+    return acc / (total * slots);
+  };
+  return std::make_unique<ColumnSampleEstimator>(
+      core::ColumnStore::FromRowMajorBits(summary, d, runs), std::move(bounds),
+      std::move(rule));
 }
 
 std::size_t StreamStratifiedSketch::PredictedSizeBits(
@@ -338,21 +295,20 @@ std::unique_ptr<core::FrequencyEstimator> StreamImportanceSketch::LoadEstimator(
     std::size_t d, std::size_t n) const {
   const std::size_t s = SampleCount(params, d);
   IFSKETCH_CHECK_EQ(summary.size(), 64 + s * (64 + d));
-  util::BitReader r(summary);
-  const double total_weight = std::bit_cast<double>(r.ReadUint(64));
-  std::vector<util::BitVector> rows;
+  // Horvitz-Thompson: coefficient_i = W / (n * w_i) for slot i, read
+  // from the weight field in front of each slot row.
+  const double total_weight = std::bit_cast<double>(summary.GetBits(0, 64));
   std::vector<double> coefficients;
-  rows.reserve(s);
-  coefficients.reserve(s);
   const double denominator = static_cast<double>(n);
   for (std::size_t i = 0; i < s; ++i) {
-    const double weight = std::bit_cast<double>(r.ReadUint(64));
+    const double weight =
+        std::bit_cast<double>(summary.GetBits(64 + i * (64 + d), 64));
     coefficients.push_back(
         denominator > 0.0 ? total_weight / (denominator * weight) : 0.0);
-    rows.push_back(r.ReadBits(d));
   }
-  return std::make_unique<StreamHtEstimator>(std::move(rows),
-                                             std::move(coefficients));
+  return std::make_unique<ColumnSampleEstimator>(
+      core::ColumnStore::FromRowMajorBits(summary, d, {{128, s, 64 + d}}),
+      std::move(coefficients));
 }
 
 std::size_t StreamImportanceSketch::PredictedSizeBits(

@@ -1,75 +1,11 @@
 #include "sketch/subsample.h"
 
-#include "core/column_store.h"
+#include "sketch/release_db.h"
 #include "util/bitio.h"
 #include "util/check.h"
 #include "util/stats.h"
 
 namespace ifsketch::sketch {
-namespace {
-
-/// Evaluates queries on the decoded sample through a column store built
-/// once at load time. Support counts are exact integers whether computed
-/// by a row scan or a popcount of ANDed columns, so scalar and batched
-/// answers are bit-identical -- and with no lazily-built cache, the view
-/// is immutable after construction and safe to query from any number of
-/// threads concurrently. Batched queries additionally fan out across the
-/// default thread pool inside ColumnStore::SupportCounts.
-class SampleEstimator : public core::FrequencyEstimator {
- public:
-  explicit SampleEstimator(core::ColumnStore columns)
-      : columns_(std::move(columns)) {}
-
-  double EstimateFrequency(const core::Itemset& t) const override {
-    return columns_.Frequency(t);
-  }
-
-  void EstimateMany(const std::vector<core::Itemset>& ts,
-                    std::vector<double>* answers) const override {
-    if (columns_.num_rows() == 0) {
-      answers->assign(ts.size(), 0.0);
-      return;
-    }
-    std::vector<std::size_t> counts;
-    columns_.SupportCounts(ts, &counts);
-    answers->resize(ts.size());
-    const double n = static_cast<double>(columns_.num_rows());
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      (*answers)[i] = static_cast<double>(counts[i]) / n;
-    }
-  }
-
- private:
-  core::ColumnStore columns_;
-};
-
-/// Indicator decision rule: declare frequent iff the sample frequency is
-/// at least 3eps/4, the midpoint of the (eps/2, eps] uncertainty band.
-class SampleIndicator : public core::FrequencyIndicator {
- public:
-  SampleIndicator(core::ColumnStore columns, double eps)
-      : estimator_(std::move(columns)), eps_(eps) {}
-
-  bool IsFrequent(const core::Itemset& t) const override {
-    return estimator_.EstimateFrequency(t) >= 0.75 * eps_;
-  }
-
-  void AreFrequent(const std::vector<core::Itemset>& ts,
-                   std::vector<bool>* answers) const override {
-    std::vector<double> estimates;
-    estimator_.EstimateMany(ts, &estimates);
-    answers->resize(ts.size());
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      (*answers)[i] = estimates[i] >= 0.75 * eps_;
-    }
-  }
-
- private:
-  SampleEstimator estimator_;
-  double eps_;
-};
-
-}  // namespace
 
 std::size_t SubsampleSketch::SampleCount(const core::SketchParams& params,
                                          std::size_t d) {
@@ -104,53 +40,7 @@ util::BitVector SubsampleSketch::Build(const core::Database& db,
 core::Database SubsampleSketch::DecodeSample(const util::BitVector& summary,
                                              std::size_t d) {
   IFSKETCH_CHECK_GT(d, 0u);
-  IFSKETCH_CHECK_EQ(summary.size() % d, 0u);
-  const std::size_t s = summary.size() / d;
-  util::BitReader r(summary);
-  std::vector<util::BitVector> rows;
-  rows.reserve(s);
-  for (std::size_t i = 0; i < s; ++i) rows.push_back(r.ReadBits(d));
-  return core::Database::FromRows(std::move(rows));
-}
-
-std::unique_ptr<core::FrequencyEstimator> SubsampleSketch::LoadEstimator(
-    const util::BitVector& summary, const core::SketchParams& /*params*/,
-    std::size_t d, std::size_t /*n*/) const {
-  // The summary is row-major sample bits; decode straight into columns
-  // (no intermediate row database) and adopt them in O(d).
-  return std::make_unique<SampleEstimator>(
-      core::ColumnStore::FromRowMajorBits(summary, d));
-}
-
-std::unique_ptr<core::FrequencyIndicator> SubsampleSketch::LoadIndicator(
-    const util::BitVector& summary, const core::SketchParams& params,
-    std::size_t d, std::size_t /*n*/) const {
-  return std::make_unique<SampleIndicator>(
-      core::ColumnStore::FromRowMajorBits(summary, d), params.eps);
-}
-
-std::unique_ptr<core::FrequencyEstimator>
-SubsampleSketch::LoadEstimatorFromColumns(core::ColumnStore columns,
-                                          const util::BitVector& summary,
-                                          const core::SketchParams& /*params*/,
-                                          std::size_t d,
-                                          std::size_t /*n*/) const {
-  // Pre-transposed columns (usually borrowed views over an mmap'd arena
-  // section): same estimator, no decode pass at all.
-  IFSKETCH_CHECK_EQ(columns.num_columns(), d);
-  IFSKETCH_CHECK_EQ(columns.num_rows() * d, summary.size());
-  return std::make_unique<SampleEstimator>(std::move(columns));
-}
-
-std::unique_ptr<core::FrequencyIndicator>
-SubsampleSketch::LoadIndicatorFromColumns(core::ColumnStore columns,
-                                          const util::BitVector& summary,
-                                          const core::SketchParams& params,
-                                          std::size_t d,
-                                          std::size_t /*n*/) const {
-  IFSKETCH_CHECK_EQ(columns.num_columns(), d);
-  IFSKETCH_CHECK_EQ(columns.num_rows() * d, summary.size());
-  return std::make_unique<SampleIndicator>(std::move(columns), params.eps);
+  return ReleaseDbSketch::Decode(summary, d, summary.size() / d);
 }
 
 std::size_t SubsampleSketch::PredictedSizeBits(

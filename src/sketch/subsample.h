@@ -10,44 +10,19 @@
 #ifndef IFSKETCH_SKETCH_SUBSAMPLE_H_
 #define IFSKETCH_SKETCH_SUBSAMPLE_H_
 
-#include "core/sketch.h"
+#include "sketch/column_sample_estimator.h"
 
 namespace ifsketch::sketch {
 
-/// The uniform-row-sampling sketch.
-class SubsampleSketch : public core::SketchAlgorithm {
+/// The uniform-row-sampling sketch. The summary is exactly s rows of d
+/// bits (a row-major payload), answered with the sample frequency.
+class SubsampleSketch : public RowMajorSketch {
  public:
   std::string name() const override { return "SUBSAMPLE"; }
 
   util::BitVector Build(const core::Database& db,
                         const core::SketchParams& params,
                         util::Rng& rng) const override;
-
-  std::unique_ptr<core::FrequencyEstimator> LoadEstimator(
-      const util::BitVector& summary, const core::SketchParams& params,
-      std::size_t d, std::size_t n) const override;
-
-  std::unique_ptr<core::FrequencyIndicator> LoadIndicator(
-      const util::BitVector& summary, const core::SketchParams& params,
-      std::size_t d, std::size_t n) const override;
-
-  /// The summary is exactly s rows of d bits, so the arena writer frames
-  /// a column section and the mapped load path adopts it with no
-  /// transpose (answers bit-identical to the decoding loaders above).
-  bool HasRowMajorPayload(const core::SketchParams& params) const override {
-    (void)params;
-    return true;
-  }
-
-  std::unique_ptr<core::FrequencyEstimator> LoadEstimatorFromColumns(
-      core::ColumnStore columns, const util::BitVector& summary,
-      const core::SketchParams& params, std::size_t d,
-      std::size_t n) const override;
-
-  std::unique_ptr<core::FrequencyIndicator> LoadIndicatorFromColumns(
-      core::ColumnStore columns, const util::BitVector& summary,
-      const core::SketchParams& params, std::size_t d,
-      std::size_t n) const override;
 
   std::size_t PredictedSizeBits(std::size_t n, std::size_t d,
                                 const core::SketchParams& params) const override;

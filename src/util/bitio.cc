@@ -34,17 +34,20 @@ BitVector BitWriter::Finish() const {
 
 std::uint64_t BitReader::ReadUint(int width) {
   IFSKETCH_CHECK(width >= 0 && width <= 64);
-  std::uint64_t value = 0;
-  for (int i = 0; i < width; ++i) {
-    if (ReadBit()) value |= std::uint64_t{1} << i;
-  }
-  return value;
+  IFSKETCH_CHECK_LE(static_cast<std::size_t>(width), Remaining());
+  pos_ += static_cast<std::size_t>(width);
+  return bits_->GetBits(pos_ - width, width);
 }
 
 BitVector BitReader::ReadBits(std::size_t count) {
-  BitVector out(count);
-  for (std::size_t i = 0; i < count; ++i) out.Set(i, ReadBit());
+  BitVector out = bits_->Slice(pos_, count);
+  pos_ += count;
   return out;
+}
+
+void BitReader::Skip(std::size_t count) {
+  IFSKETCH_CHECK_LE(count, Remaining());
+  pos_ += count;
 }
 
 double BitReader::ReadQuantized(int width) {

@@ -60,6 +60,10 @@ class BitReader {
 
   double ReadQuantized(int width);
 
+  /// Moves past `count` bits without decoding them (e.g. sample rows a
+  /// caller decodes in bulk). Precondition: count <= Remaining().
+  void Skip(std::size_t count);
+
   /// Bits consumed so far.
   std::size_t Position() const { return pos_; }
 

@@ -1,5 +1,6 @@
 #include "util/bitvector.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -186,9 +187,11 @@ BitVector BitVector::Concat(const BitVector& other) const {
 
 BitVector BitVector::Slice(std::size_t begin, std::size_t len) const {
   IFSKETCH_CHECK_LE(begin + len, size_);
-  BitVector out(len);
-  for (std::size_t i = 0; i < len; ++i) out.Set(i, Get(begin + i));
-  return out;
+  std::vector<std::uint64_t> words((len + 63) / 64);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    words[w] = GetBits(begin + w * 64, std::min<std::size_t>(64, len - w * 64));
+  }
+  return AdoptWords(std::move(words), len);
 }
 
 std::vector<std::size_t> BitVector::SetBits() const {

@@ -83,6 +83,17 @@ class BitVector {
     return (data_[i >> 6] >> (i & 63)) & 1u;
   }
 
+  /// Bits [begin, begin+len) as the low `len` bits of one word, the
+  /// word-level sibling of Get (at most two word loads). Preconditions:
+  /// len <= 64 and begin + len <= size().
+  std::uint64_t GetBits(std::size_t begin, std::size_t len) const {
+    if (len == 0) return 0;
+    const std::size_t shift = begin & 63;
+    std::uint64_t bits = data_[begin >> 6] >> shift;
+    if (shift + len > 64) bits |= data_[(begin >> 6) + 1] << (64 - shift);
+    return len == 64 ? bits : bits & ((std::uint64_t{1} << len) - 1);
+  }
+
   /// Sets bit `i` to `value`. Precondition: i < size() and not a view.
   void Set(std::size_t i, bool value) {
     const std::uint64_t mask = std::uint64_t{1} << (i & 63);
@@ -158,7 +169,7 @@ class BitVector {
   /// Concatenation: the bits of `other` appended after the bits of *this.
   BitVector Concat(const BitVector& other) const;
 
-  /// The sub-vector [begin, begin+len).
+  /// The sub-vector [begin, begin+len), copied a word at a time.
   BitVector Slice(std::size_t begin, std::size_t len) const;
 
   /// Indices of set bits, ascending.

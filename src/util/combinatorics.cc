@@ -1,5 +1,7 @@
 #include "util/combinatorics.h"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "util/check.h"
@@ -22,9 +24,12 @@ std::uint64_t Binomial(std::uint64_t n, std::uint64_t k) {
 
 double LogBinomial(std::uint64_t n, std::uint64_t k) {
   if (k > n) return -1e300;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  // lgamma_r: std::lgamma's values without its write to the global
+  // `signgam`, a data race when engines open on several threads.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(k) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(n - k) + 1.0, &sign);
 }
 
 std::vector<std::size_t> UnrankSubset(std::uint64_t rank, std::size_t n,

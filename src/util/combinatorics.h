@@ -18,8 +18,9 @@ namespace ifsketch::util {
 inline constexpr std::uint64_t kBinomialInf = std::uint64_t{1} << 62;
 std::uint64_t Binomial(std::uint64_t n, std::uint64_t k);
 
-/// Natural log of C(n, k) via lgamma (usable far beyond the saturation
-/// point of Binomial; used for sketch-size formulas log C(d,k)).
+/// Natural log of C(n, k) via ln Gamma (usable far beyond the saturation
+/// point of Binomial; used for sketch-size formulas log C(d,k)). Safe to
+/// call from any number of threads at once.
 double LogBinomial(std::uint64_t n, std::uint64_t k);
 
 /// The `rank`-th k-subset of [n] in colexicographic order, as ascending

@@ -72,5 +72,62 @@ TEST(ColumnStoreTest, UniverseMismatchDies) {
   EXPECT_DEATH(cs.SupportCount(Itemset(7, {0})), "");
 }
 
+// The strided row decoder against a bit-by-bit reference: rows behind
+// header fields, rows interleaved with per-row fields (stride > d),
+// several runs (strata), empty runs, widths on both sides of a 64-bit
+// word, and row counts off a multiple of 64.
+TEST(ColumnStoreTest, StridedRowDecoderMatchesBitReference) {
+  util::Rng rng(17);
+  for (std::size_t d : {1u, 5u, 32u, 63u, 64u, 65u, 130u}) {
+    const std::vector<ColumnStore::RowRun> runs = {
+        {64, 70, d}, {64 + 70 * d + 64, 0, d}, {64 + 70 * d + 64, 3, d + 64},
+        {64 + 70 * d + 64 + 3 * (d + 64), 131, d + 1}};
+    const ColumnStore::RowRun& last = runs.back();
+    const util::BitVector bits =
+        rng.RandomBits(last.first_bit + last.rows * last.stride_bits + 5);
+    const ColumnStore columns = ColumnStore::FromRowMajorBits(bits, d, runs);
+    ASSERT_EQ(columns.num_rows(), 70u + 3u + 131u);
+    ASSERT_EQ(columns.num_columns(), d);
+    std::size_t row = 0;
+    for (const ColumnStore::RowRun& run : runs) {
+      for (std::size_t i = 0; i < run.rows; ++i, ++row) {
+        for (std::size_t j = 0; j < d; ++j) {
+          ASSERT_EQ(columns.Column(j).Get(row),
+                    bits.Get(run.first_bit + i * run.stride_bits + j))
+              << "d=" << d << " row " << row << " attr " << j;
+        }
+      }
+    }
+    // Bits past the last row stay zero (the kernels rely on it).
+    for (std::size_t j = 0; j < d; ++j) {
+      ASSERT_EQ(columns.Column(j).Count(),
+                columns.Column(j).SetBits().size());
+    }
+  }
+}
+
+// The whole-string overload is the decoder with one unit-stride run, and
+// transposing a database's rows reproduces its columns.
+TEST(ColumnStoreTest, RowMajorBitsMatchDatabaseColumns) {
+  util::Rng rng(18);
+  const Database db = data::UniformRandom(333, 70, 0.3, rng);
+  util::BitVector bits(db.num_rows() * db.num_columns());
+  for (std::size_t i = 0; i < db.num_rows(); ++i) {
+    for (std::size_t j = 0; j < db.num_columns(); ++j) {
+      bits.Set(i * db.num_columns() + j, db.Row(i).Get(j));
+    }
+  }
+  const ColumnStore decoded =
+      ColumnStore::FromRowMajorBits(bits, db.num_columns());
+  const ColumnStore transposed(db);
+  ASSERT_EQ(decoded.num_rows(), db.num_rows());
+  for (std::size_t j = 0; j < db.num_columns(); ++j) {
+    ASSERT_EQ(decoded.Column(j), transposed.Column(j)) << j;
+  }
+  const ColumnStore empty = ColumnStore::FromRowMajorBits(util::BitVector(), 4);
+  EXPECT_EQ(empty.num_rows(), 0u);
+  EXPECT_EQ(empty.num_columns(), 4u);
+}
+
 }  // namespace
 }  // namespace ifsketch::core

@@ -180,5 +180,57 @@ TEST(ConcurrentEngineTest, ConcurrentQueriesOnOneEngine) {
   util::ThreadPool::SetDefaultThreadCount(0);
 }
 
+// Engines opened on several threads at once, as a server's dispatch
+// threads reload evicted sketches. Opening a MEDIAN-BOOST or a for-all
+// SUBSAMPLE file sizes its summary through util::LogBinomial, which must
+// not touch shared state (glibc's lgamma writes the global `signgam`);
+// under -fsanitize=thread any such race fails this test. Every thread
+// must also read the single-threaded answers.
+TEST(ConcurrentEngineTest, ConcurrentOpensOfSizedSketches) {
+  util::Rng rng(44);
+  const std::size_t d = 12;
+  const core::Database db =
+      data::PowerLawBaskets(800, d, 1.0, 0.5, 4, 3, 0.2, rng);
+  core::SketchParams for_all = EstimatorParams();
+  for_all.scope = core::Scope::kForAll;
+  const auto queries = RandomBatch(d, rng);
+
+  std::vector<std::string> paths;
+  std::vector<std::vector<double>> expected;
+  for (const char* algorithm : {"MEDIAN-BOOST(SUBSAMPLE)", "SUBSAMPLE"}) {
+    auto built = Engine::Build(db, algorithm, for_all, rng);
+    ASSERT_TRUE(built.has_value()) << algorithm;
+    paths.push_back(testing::TempDir() + "/concurrent_open_" +
+                    std::to_string(paths.size()) + ".ifsk");
+    ASSERT_TRUE(built->Save(paths.back()));
+    expected.emplace_back();
+    built->estimate_many(queries, &expected.back());
+  }
+
+  constexpr std::size_t kThreads = 6;
+  std::vector<std::vector<std::vector<double>>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        // Alternate the mapped and copied paths across threads.
+        const auto mode = (t + i) % 2 == 0 ? Engine::LoadMode::kMapped
+                                           : Engine::LoadMode::kCopied;
+        auto opened = Engine::Open(paths[i], mode);
+        answers[t].emplace_back();
+        if (opened.has_value()) {
+          opened->estimate_many(queries, &answers[t].back());
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      ASSERT_EQ(answers[t][i], expected[i]) << "thread " << t << " file " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ifsketch

@@ -27,6 +27,7 @@
 #include "engine.h"
 #include "golden_spec.h"
 #include "sketch/sketch_file.h"
+#include "sketch/sketch_view.h"
 #include "util/random.h"
 
 namespace ifsketch {
@@ -108,25 +109,24 @@ TEST_P(GoldenFilesTest, OpenReproducesRecordedAnswers) {
   ASSERT_EQ(golden_lines[0].estimate, engine->estimate(queries[0]));
 }
 
-// The arena (v2) golden -- the same RELEASE-DB summary as
-// release_db.ifsk, framed with aligned word sections -- must decode to
-// the SAME recorded answers through BOTH load paths: the zero-copy
-// mapped path (views straight over the file image, columns adopted from
-// the column section) and the copying stream parser. This pins the v2
-// serialization and the mapped/copied equivalence to the checked-in
-// bytes; the v1 goldens above keep pinning the legacy path.
-TEST(GoldenFilesTest, ArenaGoldenBitIdenticalOnBothLoadPaths) {
+// Opens `file` (under the test data dir) through BOTH load paths -- the
+// zero-copy mapped path (views straight over the file image, columns
+// adopted from the column section when it has one) and the copying
+// stream parser -- and requires the answers recorded in `answers`.
+void ExpectArenaGoldenOnBothLoadPaths(const std::string& file,
+                                      const std::string& answers,
+                                      const std::string& algorithm) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
   const auto queries = golden::PinnedQueries();
-  const auto golden_lines = LoadAnswers(dir + "/release_db.answers.txt");
+  const auto golden_lines = LoadAnswers(dir + "/" + answers);
   ASSERT_EQ(golden_lines.size(), queries.size());
 
   for (const Engine::LoadMode mode :
        {Engine::LoadMode::kMapped, Engine::LoadMode::kCopied}) {
     std::string error;
-    auto engine = Engine::Open(dir + "/release_db_v2.ifsk", mode, &error);
+    auto engine = Engine::Open(dir + "/" + file, mode, &error);
     ASSERT_TRUE(engine.has_value()) << error;
-    EXPECT_EQ(engine->algorithm(), "RELEASE-DB");
+    EXPECT_EQ(engine->algorithm(), algorithm);
     EXPECT_EQ(engine->format_version(), sketch::arena::kVersionArena);
     EXPECT_EQ(engine->load_path(), mode == Engine::LoadMode::kMapped
                                        ? Engine::LoadPath::kMapped
@@ -139,14 +139,43 @@ TEST(GoldenFilesTest, ArenaGoldenBitIdenticalOnBothLoadPaths) {
     ASSERT_EQ(estimates.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       ASSERT_EQ(golden_lines[i].estimate, estimates[i])
-          << "v2 estimate drifted from the v1 recording on query "
+          << file << " estimate drifted from the v1 recording on query "
           << golden_lines[i].key;
       ASSERT_EQ(golden_lines[i].frequent, bits[i])
-          << "v2 indicator drifted from the v1 recording on query "
+          << file << " indicator drifted from the v1 recording on query "
           << golden_lines[i].key;
+      ASSERT_EQ(golden_lines[i].estimate, engine->estimate(queries[i]));
+      ASSERT_EQ(golden_lines[i].frequent, engine->is_frequent(queries[i]));
     }
-    ASSERT_EQ(golden_lines[0].estimate, engine->estimate(queries[0]));
   }
+}
+
+// The arena (v2) golden -- the same RELEASE-DB summary as
+// release_db.ifsk, framed with aligned word sections -- must decode to
+// the SAME recorded answers through both load paths. This pins the v2
+// serialization and the mapped/copied equivalence to the checked-in
+// bytes; the v1 goldens above keep pinning the legacy path.
+TEST(GoldenFilesTest, ArenaGoldenBitIdenticalOnBothLoadPaths) {
+  ExpectArenaGoldenOnBothLoadPaths("release_db_v2.ifsk",
+                                   "release_db.answers.txt", "RELEASE-DB");
+}
+
+// A MEDIAN-BOOST(SUBSAMPLE) v2 file with the summary section alone: the
+// framing MEDIAN-BOOST files were written with before the algorithm
+// reported a row-major payload. Such files stay readable forever, so
+// both load paths must decode the summary and answer exactly like the
+// v1 recording -- the mapped path without a column section to adopt.
+TEST(GoldenFilesTest, ColumnlessMedianBoostArenaGoldenOnBothLoadPaths) {
+  const std::string dir = IFSKETCH_TEST_DATA_DIR;
+  const auto view =
+      sketch::ViewSketchFile(dir + "/median_boost_subsample_v2.ifsk");
+  ASSERT_TRUE(view.has_value());
+  EXPECT_FALSE(view->columns.has_value())
+      << "this golden pins the summary-only framing; regenerate it only "
+         "with make_golden, which writes it with ColumnSection::kOmit";
+  ExpectArenaGoldenOnBothLoadPaths("median_boost_subsample_v2.ifsk",
+                                   "median_boost_subsample.answers.txt",
+                                   "MEDIAN-BOOST(SUBSAMPLE)");
 }
 
 // The checksummed arena golden -- release_db_v2.ifsk plus the CRC32C

@@ -57,14 +57,29 @@ std::optional<SketchFile> StreamParse(const std::string& bytes,
   return ReadSketch(in, error);
 }
 
+/// A zero-copy parse together with the aligned buffer its views borrow:
+/// the buffer lives exactly as long as the view, so reading the view
+/// after ImageParse returns stays valid. (Moving the vector keeps its
+/// heap words in place.)
+struct ParsedImage {
+  std::vector<std::uint64_t> words;
+  std::optional<SketchView> view;
+
+  bool has_value() const { return view.has_value(); }
+  const SketchView* operator->() const { return &*view; }
+};
+
 /// Parses `bytes` through the zero-copy mapped validator (needs 8-byte
 /// alignment, like a real mapping).
-std::optional<SketchView> ImageParse(const std::string& bytes,
-                                     SketchError* error = nullptr) {
-  std::vector<std::uint64_t> aligned((bytes.size() + 7) / 8);
-  std::memcpy(aligned.data(), bytes.data(), bytes.size());
-  return ViewSketchImage(reinterpret_cast<const unsigned char*>(aligned.data()),
-                         bytes.size(), error);
+ParsedImage ImageParse(const std::string& bytes,
+                       SketchError* error = nullptr) {
+  ParsedImage parsed;
+  parsed.words.resize((bytes.size() + 7) / 8);
+  std::memcpy(parsed.words.data(), bytes.data(), bytes.size());
+  parsed.view = ViewSketchImage(
+      reinterpret_cast<const unsigned char*>(parsed.words.data()),
+      bytes.size(), error);
+  return parsed;
 }
 
 std::string ReadFileBytes(const std::string& path) {

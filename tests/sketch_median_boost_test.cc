@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/validate.h"
 #include "util/bitio.h"
@@ -115,6 +117,64 @@ TEST_F(MedianBoostTest, MedianRobustToMinorityOfBadCopies) {
     if (std::fabs(est->EstimateFrequency(t) - truth) > 0.01) ++failures;
   }
   EXPECT_EQ(failures, 0);
+}
+
+// MEDIAN-BOOST over MEDIAN-BOOST: the payload is still rows, but each
+// outer copy answers a median of its own copies, not a sample frequency,
+// so the outer sketch must not report a row-major payload, and must
+// answer the median of medians copy by copy.
+TEST_F(MedianBoostTest, NestedBoostAnswersMedianOfMedians) {
+  const auto inner = std::make_shared<MedianBoostSketch>(inner_, 0.05);
+  MedianBoostSketch outer(inner, 0.05);
+  util::Rng rng(10);
+  const util::BitVector summary = outer.Build(db_, params_, rng);
+  ASSERT_TRUE(inner->HasRowMajorPayload(params_));
+  ASSERT_FALSE(outer.HasRowMajorPayload(params_));
+
+  core::SketchParams inner_params = params_;
+  inner_params.scope = core::Scope::kForEach;
+  inner_params.delta = 0.25;
+  const std::size_t m = outer.CopyCount(params_, 8);
+  const std::size_t m_inner = inner->CopyCount(inner_params, 8);
+  const std::size_t rows = summary.size() / 8 / m / m_inner;
+  const auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  const auto reference = [&](const core::Itemset& t) {
+    std::vector<double> outer_values;
+    for (std::size_t c = 0; c < m; ++c) {
+      std::vector<double> inner_values;
+      for (std::size_t g = 0; g < m_inner; ++g) {
+        std::size_t hits = 0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::size_t row = (c * m_inner + g) * rows + r;
+          bool contained = true;
+          for (std::size_t a : t.Attributes()) {
+            contained = contained && summary.Get(row * 8 + a);
+          }
+          hits += contained ? 1 : 0;
+        }
+        inner_values.push_back(static_cast<double>(hits) /
+                               static_cast<double>(rows));
+      }
+      outer_values.push_back(median(inner_values));
+    }
+    return median(outer_values);
+  };
+
+  const auto decoded = outer.LoadEstimator(summary, params_, 8, 300);
+  std::vector<core::Itemset> queries = {core::Itemset(8)};
+  for (std::size_t a = 0; a < 8; ++a) {
+    queries.emplace_back(8, std::vector<std::size_t>{a, (a + 3) % 8});
+  }
+  std::vector<double> batched;
+  decoded->EstimateMany(queries, &batched);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const double expected = reference(queries[i]);
+    EXPECT_EQ(decoded->EstimateFrequency(queries[i]), expected) << i;
+    EXPECT_EQ(batched[i], expected) << i;
+  }
 }
 
 TEST_F(MedianBoostTest, NameMentionsInner) {

@@ -114,5 +114,21 @@ TEST(BitIoTest, RandomizedMixedRoundTrip) {
   }
 }
 
+TEST(BitIoTest, SkipMovesPastFieldsWithoutDecoding) {
+  BitWriter w;
+  w.WriteUint(0x5, 3);
+  w.WriteUint(0xdeadbeefcafef00dULL, 64);
+  w.WriteUint(0x2a, 7);
+  const BitVector bits = w.Finish();
+  BitReader r(bits);
+  r.Skip(3);
+  EXPECT_EQ(r.Position(), 3u);
+  r.Skip(64);
+  EXPECT_EQ(r.ReadUint(7), 0x2au);
+  EXPECT_EQ(r.Remaining(), 0u);
+  r.Skip(0);
+  EXPECT_DEATH(r.Skip(1), "");
+}
+
 }  // namespace
 }  // namespace ifsketch::util

@@ -104,6 +104,32 @@ TEST(BitVectorTest, SliceExtractsRange) {
   EXPECT_EQ(v.Slice(3, 0).size(), 0u);
 }
 
+// Slice and GetBits work a word at a time; every offset and length
+// (across word boundaries, at the very end) must equal the bit loop.
+TEST(BitVectorTest, SliceAndGetBitsMatchBitLoopAtEveryOffset) {
+  Rng rng(5);
+  const BitVector v = rng.RandomBits(300);
+  for (std::size_t begin = 0; begin <= v.size(); begin += 7) {
+    for (std::size_t len = 0; begin + len <= v.size(); len += 13) {
+      BitVector expected(len);
+      for (std::size_t i = 0; i < len; ++i) expected.Set(i, v.Get(begin + i));
+      ASSERT_EQ(v.Slice(begin, len), expected) << begin << "+" << len;
+      if (len <= 64) {
+        ASSERT_EQ(v.GetBits(begin, len),
+                  len == 0 ? 0u : expected.data()[0])
+            << begin << "+" << len;
+      }
+    }
+    if (begin + 64 <= v.size()) {
+      std::uint64_t expected = 0;
+      for (std::size_t i = 0; i < 64; ++i) {
+        expected |= static_cast<std::uint64_t>(v.Get(begin + i)) << i;
+      }
+      ASSERT_EQ(v.GetBits(begin, 64), expected) << begin;
+    }
+  }
+}
+
 TEST(BitVectorTest, SetBitsListsAscendingIndices) {
   BitVector v(150);
   v.Set(3, true);

@@ -17,12 +17,19 @@
 //                        word sections; sketch_file.h) -- the golden for
 //                        the zero-copy mapped load path, which must
 //                        answer bit-identically to the v1 file
+// and, for MEDIAN-BOOST(SUBSAMPLE),
+//   <slug>_v2.ifsk       its summary at arena v2 with the summary section
+//                        alone (ColumnSection::kOmit): the framing
+//                        MEDIAN-BOOST files had before the algorithm
+//                        reported a row-major payload, which both load
+//                        paths must keep answering bit-identically
 //
 // Regenerating is only legitimate when a PR deliberately changes the
 // serialized format or an algorithm's sampling; answers must never drift
 // as a side effect of kernel or batching work.
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -74,6 +81,20 @@ int main(int argc, char** argv) {
         return 1;
       }
       std::printf("wrote %s (arena v2 + crc32c trailer)\n", crc_path.c_str());
+    }
+
+    if (std::string(algo) == "MEDIAN-BOOST(SUBSAMPLE)") {
+      const std::string v2_path = out_dir + "/" + slug + "_v2.ifsk";
+      std::ofstream v2(v2_path, std::ios::binary);
+      if (!sketch::WriteSketch(v2, engine->file(),
+                               sketch::arena::kVersionArena,
+                               sketch::SketchChecksum::kNone,
+                               sketch::ColumnSection::kOmit)) {
+        std::fprintf(stderr, "error: cannot write %s\n", v2_path.c_str());
+        return 1;
+      }
+      std::printf("wrote %s (arena v2, summary section only)\n",
+                  v2_path.c_str());
     }
 
     std::vector<double> estimates;
