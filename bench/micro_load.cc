@@ -4,12 +4,13 @@
 //
 // Measures what PR 5's zero-copy work targets: how long it takes to get
 // from an IFSK file on disk to answered queries, on the mapped path
-// (mmap + in-place validation + borrowed column views) vs the copying
-// path (stream parse + bit unpack + transpose). One SUBSAMPLE and one
-// RELEASE-DB sketch are built and saved once; every row then re-opens
-// those same files, so the page cache is warm and the numbers isolate
-// the software cost of loading (true cold-cache opens depend on the
-// storage stack, not on this code).
+// (mmap + in-place validation + borrowed column views) vs the copied
+// path (buffered read + the same validation + summary copy + transpose).
+// One SUBSAMPLE and one RELEASE-DB sketch are built and saved once;
+// every row then re-opens those same files, so the page cache is warm
+// and the numbers isolate the software cost of loading (true cold-cache
+// opens depend on the storage stack, not on this code). The files live
+// in a private temp directory removed on every exit path.
 //
 // Emits the repo's stable bench schema
 //   {"kernel": str, "threads": int, "batch": int, "ns_per_query": float}
@@ -43,6 +44,7 @@
 
 #include "data/generators.h"
 #include "engine.h"
+#include "scratch_dir.h"
 #include "serve/pod.h"
 #include "util/random.h"
 
@@ -134,11 +136,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: Engine::Build failed\n");
     return 1;
   }
-  const std::string v2_path = "micro_load_tmp_v2.ifsk";
-  const std::string v2b_path = "micro_load_tmp_v2b.ifsk";
-  const std::string v1_path = "micro_load_tmp_v1.ifsk";
-  const std::string v1b_path = "micro_load_tmp_v1b.ifsk";
-  if (!built->Save(v2_path) || !built->Save(v2b_path) ||
+  const bench::ScratchDir scratch("micro_load_");
+  const std::string v2_path = scratch.File("v2.ifsk");
+  const std::string v2b_path = scratch.File("v2b.ifsk");
+  const std::string v1_path = scratch.File("v1.ifsk");
+  const std::string v1b_path = scratch.File("v1b.ifsk");
+  if (!scratch.ok() || !built->Save(v2_path) || !built->Save(v2b_path) ||
       !sketch::SaveSketchFile(v1_path, built->file(),
                               sketch::arena::kVersionLegacy) ||
       !sketch::SaveSketchFile(v1b_path, built->file(),
@@ -241,11 +244,6 @@ int main(int argc, char** argv) {
                           static_cast<double>(reps * batch.size())});
     }
   }
-
-  std::remove(v2_path.c_str());
-  std::remove(v2b_path.c_str());
-  std::remove(v1_path.c_str());
-  std::remove(v1b_path.c_str());
 
   std::fprintf(stderr, "warm re-open: mapped %.0f ns, copied %.0f ns -> %.1fx"
                " (target >= 5x)\n",

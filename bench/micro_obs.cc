@@ -5,7 +5,7 @@
 //
 // The PR 8 contract this bench pins: instrumenting the query hot path
 // (one request counter + one RequestTrace + one kernel StageTimer per
-// batch, exactly what ServeConnection adds) moves steady-state query
+// batch, exactly what DispatchRequest adds) moves steady-state query
 // throughput by at most 2%. The bench FAILS (exit 1) when the steady
 // kernel regresses more than the contract allows, so CI catches an
 // accidentally fattened hot path. Histogram::Record is a handful of
@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
 
   // -- query_baseline vs query_steady: the 2% contract. Same engine,
   // same queries; steady adds exactly the per-request instrumentation
-  // ServeConnection introduces (op counter, RequestTrace, kernel
+  // DispatchRequest introduces (op counter, RequestTrace, kernel
   // StageTimer). Three alternating passes each to cancel drift.
   double baseline_ns = 0.0;
   double steady_ns = 0.0;

@@ -5,12 +5,15 @@
 //               [--rounds 50] [--conns 8,1024,10000]
 //
 // Compares direct Engine::estimate_many calls against the same batches
-// served through the wire protocol over an in-process loopback transport
-// (serve/transport.h) -- the full encode/frame/dispatch/route/coalesce/
-// decode path minus the kernel, with no socket noise -- at 1/2/4/8
-// concurrent clients. Each served client owns one connection into a
-// dedicated ServeConnection thread; all connections share one Router, so
-// concurrent clients exercise the cross-client coalescing path.
+// served through the wire protocol and the epoll reactor
+// (serve/reactor.h) over 127.0.0.1 TCP -- the full encode/frame/socket/
+// dispatch/route/coalesce/decode path -- at 1/2/4/8 concurrent clients.
+// Each served client owns one connection; all connections share one
+// Router, so concurrent clients exercise the cross-client coalescing
+// path. The `served_loopback` rows keep the name they had when they
+// crossed an in-process byte queue instead of a socket; since the
+// reactor became the only server loop they include the loopback socket
+// cost, so rows from before that change are not comparable.
 //
 // Two replication scenarios ride along, both on a 2-pod router with
 // every name on both pods (R=2), 4 clients:
@@ -45,7 +48,7 @@
 // per-query request-latency percentiles (request latency / batch size),
 // the tail-latency columns the failover scenarios exist to watch:
 //   direct           C threads calling engine.estimate_many directly
-//   served_loopback  C protocol clients through the loopback server
+//   served_loopback  C protocol clients through the reactor on 127.0.0.1
 // Answers are verified bit-identical to direct Engine calls on EVERY
 // round of every served kernel; only the serving layer differs.
 
@@ -65,6 +68,7 @@
 #include "data/generators.h"
 #include "engine.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/pod.h"
 #include "serve/reactor.h"
@@ -174,33 +178,34 @@ struct ServedOutcome {
   double p99_ns = 0.0;
 };
 
-/// Runs `clients` protocol clients for `rounds` requests each through
-/// `router` over loopback connections, verifying every answer batch
-/// bit-identical to `expected`. `name_for(c, r)` picks the sketch each
-/// request targets; `on_round` (when set) runs on client 0 before its
-/// round r -- the fault-injection hook.
+/// Runs `clients` protocol clients for `rounds` requests each through a
+/// reactor over `router`, one loopback TCP connection per client,
+/// verifying every answer batch bit-identical to `expected`.
+/// `name_for(c, r)` picks the sketch each request targets; `on_round`
+/// (when set) runs on client 0 before its round r -- the
+/// fault-injection hook.
 ServedOutcome RunServed(
     serve::Router& router, std::size_t clients, std::size_t rounds,
     std::size_t batch, const std::vector<ClientBatch>& batches,
     const std::vector<std::vector<double>>& expected,
     const std::function<std::string(std::size_t, std::size_t)>& name_for,
     const std::function<void(std::size_t)>& on_round) {
-  std::vector<std::unique_ptr<serve::Transport>> client_ends;
-  std::vector<std::thread> server_threads;
-  for (std::size_t c = 0; c < clients; ++c) {
-    auto [client_end, server_end] = serve::LoopbackTransport::CreatePair();
-    client_ends.push_back(std::move(client_end));
-    server_threads.emplace_back(
-        [&router, t = std::move(server_end)]() mutable {
-          serve::ServeConnection(router, *t);
-        });
+  serve::ReactorServer reactor(router);
+  if (!reactor.Listen(0)) {
+    std::fprintf(stderr, "error: reactor cannot listen\n");
+    return ServedOutcome{};
   }
-  // Construct the protocol clients outside the timed region: the timer
+  // Connect the protocol clients outside the timed region: the timer
   // should cover the serving path only, not client setup.
   std::vector<std::unique_ptr<serve::SketchClient>> protocol_clients;
   for (std::size_t c = 0; c < clients; ++c) {
+    auto transport = serve::TcpConnect(reactor.port());
+    if (transport == nullptr) {
+      std::fprintf(stderr, "error: cannot connect to the reactor\n");
+      return ServedOutcome{};
+    }
     protocol_clients.push_back(
-        std::make_unique<serve::SketchClient>(std::move(client_ends[c])));
+        std::make_unique<serve::SketchClient>(std::move(transport)));
   }
   std::atomic<bool> failed{false};
   std::vector<std::vector<double>> latencies(clients);
@@ -224,8 +229,7 @@ ServedOutcome RunServed(
   }
   for (auto& t : threads) t.join();
   const double total = ElapsedNs(start);
-  protocol_clients.clear();  // hang up -> server EOF
-  for (auto& t : server_threads) t.join();
+  protocol_clients.clear();  // hang up before the reactor shuts down
 
   ServedOutcome outcome;
   if (failed.load()) return outcome;  // ok stays false
@@ -290,8 +294,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const Engine& engine = *built;
-  const std::string sketch_path = "micro_serve_tmp.ifsk";
-  if (!engine.Save(sketch_path)) {
+  const bench::ScratchDir scratch("micro_serve_");
+  const std::string sketch_path = scratch.File("sketch.ifsk");
+  if (!scratch.ok() || !engine.Save(sketch_path)) {
     std::fprintf(stderr, "error: cannot write %s\n", sketch_path.c_str());
     return 1;
   }
@@ -348,7 +353,7 @@ int main(int argc, char** argv) {
              p99});
       }
 
-      // -- served: the same batches through protocol + loopback + router.
+      // -- served: the same batches through protocol + reactor + router.
       {
         const auto outcome = RunServed(router, clients, rounds, batch,
                                        batches, expected, plain_name,
@@ -581,8 +586,6 @@ int main(int argc, char** argv) {
     reactor.StopAccepting();
     reactor.WaitDrained();
   }
-
-  std::remove(sketch_path.c_str());
 
   std::FILE* out =
       out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");

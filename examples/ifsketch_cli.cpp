@@ -63,11 +63,13 @@ int Usage() {
                "tier)\n"
                "  --load MODE     sketch load path: auto (default; "
                "zero-copy mmap for\n"
-               "                  arena v2 files, stream-copy for v1), "
+               "                  arena v2 files, decoded copy for v1), "
                "mapped (require\n"
-               "                  zero-copy), or copied (force the "
-               "copying parser; both\n"
-               "                  paths answer bit-identically -- `info` "
+               "                  zero-copy), or copied (read the file "
+               "into memory and\n"
+               "                  copy the summary out); every path runs "
+               "the same parser\n"
+               "                  and answers bit-identically -- `info` "
                "prints which one\n"
                "                  was used and the file format version)\n"
                "\nregistered algorithms (for --algo):\n");
@@ -150,7 +152,7 @@ constexpr int kExitNotFound = 3;
 constexpr int kExitMalformed = 4;
 
 // How `query`/`info`/`mine` acquire sketch bytes (--load): the zero-copy
-// mapped path, the copying stream parser, or whichever fits the file.
+// mapped path, an owned copy, or whichever fits the file.
 Engine::LoadMode g_load_mode = Engine::LoadMode::kAuto;
 
 /// Reopens a sketch file through the registry, reporting each failure

@@ -1,7 +1,6 @@
 #include "engine.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "sketch/builtin_algorithms.h"
 #include "util/check.h"
@@ -11,22 +10,6 @@ namespace {
 
 void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
-}
-
-/// The file's IFSK version from its first 6 bytes: a tiny read that
-/// decides mapped-vs-copied without paying for a mapping (or, on the
-/// no-mmap fallback, a whole-file read) that a v1 file would
-/// immediately discard. Returns -1 when the file cannot be opened at
-/// all (distinct from 0 = readable but not IFSK, so kMapped errors can
-/// say which).
-int PeekFileVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return -1;
-  unsigned char head[6];
-  in.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (in.gcount() <= 0) return 0;
-  return sketch::PeekSketchVersion(head,
-                                   static_cast<std::size_t>(in.gcount()));
 }
 
 std::string FormatSketchError(const std::string& path,
@@ -84,76 +67,45 @@ std::optional<Engine> Engine::FromParts(sketch::SketchFile file,
 
 std::optional<Engine> Engine::Open(const std::string& path, LoadMode mode,
                                    std::string* error) {
-  if (mode != LoadMode::kCopied) {
-    int version = PeekFileVersion(path);
-    std::shared_ptr<const util::MappedFile> mapping;
-    if (version < 0) {
-      // Unreadable via the tiny peek. Attempt the mapping anyway: if it
-      // also fails we have the real I/O error to report; if a concurrent
-      // writer raced the peek and the file is mappable now, keep the
-      // mapping and classify it from its own bytes.
-      std::string map_error;
-      mapping = util::MappedFile::Open(path, &map_error);
-      if (mapping == nullptr) {
-        if (mode == LoadMode::kMapped) {
-          SetError(error, map_error);
-          return std::nullopt;
-        }
-        // kAuto: fall through to the copying parser's error report.
-      } else {
-        version =
-            sketch::PeekSketchVersion(mapping->data(), mapping->size());
-      }
-    }
-    if (version == sketch::arena::kVersionArena) {
-      if (mapping == nullptr) {
-        std::string map_error;
-        mapping = util::MappedFile::Open(path, &map_error);
-        if (mapping == nullptr) {
-          SetError(error, map_error);
-          return std::nullopt;
-        }
-      }
-      sketch::SketchError view_error;
-      auto view = sketch::ViewSketchImage(mapping->data(), mapping->size(),
-                                          &view_error);
-      if (!view.has_value()) {
-        SetError(error, FormatSketchError(path, view_error));
-        return std::nullopt;
-      }
-      auto engine =
-          FromParts(std::move(view->file), LoadPath::kMapped, error);
-      if (!engine.has_value()) {
-        if (error != nullptr) *error = path + ": " + *error;
-        return std::nullopt;
-      }
-      engine->mapping_ = std::move(mapping);
-      engine->columns_ = view->columns;
-      return engine;
-    }
-    if (mode == LoadMode::kMapped) {
-      SetError(error,
-               version == sketch::arena::kVersionLegacy
-                   ? path + ": legacy v1 file has no arena sections; " +
-                         "mapped load needs v2 (re-save to upgrade)"
-                   : path + ": not a well-formed IFSK file");
-      return std::nullopt;
-    }
-    // v1 (or not IFSK at all, or unreadable): fall through to the
-    // copying parser, which reports precise offsets (or the open error)
-    // for whatever is wrong.
-  }
-
-  sketch::SketchError read_error;
-  auto file = sketch::LoadSketchFile(path, &read_error);
-  if (!file.has_value()) {
-    SetError(error, FormatSketchError(path, read_error));
+  // One parser for every mode: the modes differ only in where the image
+  // comes from and whether the summary stays a view into it.
+  std::string open_error;
+  auto image = mode == LoadMode::kCopied
+                   ? util::MappedFile::OpenBuffered(path, &open_error)
+                   : util::MappedFile::Open(path, &open_error);
+  if (image == nullptr) {
+    SetError(error, open_error);
     return std::nullopt;
   }
-  auto engine = FromParts(*std::move(file), LoadPath::kCopied, error);
+  sketch::SketchError parse_error;
+  auto view = sketch::ViewSketchImage(std::move(image), &parse_error);
+  if (!view.has_value()) {
+    SetError(error, FormatSketchError(path, parse_error));
+    return std::nullopt;
+  }
+  const bool legacy = view->file.version == sketch::arena::kVersionLegacy;
+  if (legacy && mode == LoadMode::kMapped) {
+    SetError(error, path + ": legacy v1 file has no arena sections; " +
+                        "mapped load needs v2 (re-save to upgrade)");
+    return std::nullopt;
+  }
+  const bool mapped = !legacy && mode != LoadMode::kCopied;
+  sketch::SketchFile file = std::move(view->file);
+  if (!mapped && file.summary.is_view()) {
+    // Copied load: own the bits and drop the image with its column
+    // section, so queries run the same decode loaders as built sketches.
+    file.summary = util::BitVector(file.summary);
+  }
+  auto engine = FromParts(std::move(file),
+                          mapped ? LoadPath::kMapped : LoadPath::kCopied,
+                          error);
   if (!engine.has_value()) {
     if (error != nullptr) *error = path + ": " + *error;
     return std::nullopt;
+  }
+  if (mapped) {
+    engine->mapping_ = std::move(view->image);
+    engine->columns_ = view->columns;
   }
   return engine;
 }
@@ -282,7 +234,7 @@ std::string Engine::info() const {
                  : "mapped (zero-copy views over a buffered file image; "
                    "mmap unavailable)")
           : (load_path_ == LoadPath::kCopied
-                 ? "copied (stream-parsed into owned memory)"
+                 ? "copied (parsed into owned memory)"
                  : "built (never loaded)");
   char buffer[896];
   std::snprintf(

@@ -20,17 +20,22 @@
 // which shares column scans across the batch; mine() batches each Apriori
 // level the same way.
 //
-// Load paths: Open prefers the ZERO-COPY MAPPED path for arena (v2)
-// files -- the file is mmap'd (util::MappedFile), validated in place
-// (sketch/sketch_view.h), and the summary plus any pre-transposed column
-// section are handed to the query views as borrowed, 64-byte-aligned
-// words straight out of the page cache, so opening is O(header + d)
-// instead of O(payload). Legacy v1 files, and callers forcing
-// LoadMode::kCopied, go through the stream parser and own their bits.
-// The two paths answer every query bit-identically; load_path() reports
-// which one an Engine took, resident_bytes() what it pins (mapped image
-// size vs owned summary bytes), and dropping the last reference to a
-// mapped Engine unmaps the file.
+// Load paths: every LoadMode reads the file into one aligned image and
+// runs the one image parser (sketch/sketch_view.h), so every mode
+// accepts and rejects exactly the same files with the same diagnostics.
+// Open prefers the ZERO-COPY MAPPED path for arena (v2) files -- the
+// file is mmap'd (util::MappedFile), validated in place, and the summary
+// plus any pre-transposed column section are handed to the query views
+// as borrowed, 64-byte-aligned words straight out of the page cache, so
+// opening is O(header + d) instead of O(payload). Legacy v1 files decode
+// their byte-packed payload into owned bits. LoadMode::kCopied reads the
+// file into a private buffer, keeps an owned copy of the summary and
+// drops the column section, so its queries run the same decode loaders
+// as built and ingest-published sketches. The paths answer every query
+// bit-identically; load_path() reports which one an Engine took,
+// resident_bytes() what it pins (mapped image size vs owned summary
+// bytes), and dropping the last reference to a mapped Engine unmaps the
+// file.
 //
 // Threading contract: every query method is const and safe to call from
 // any number of threads concurrently on one Engine. Lazy view
@@ -71,14 +76,14 @@ class Engine {
   enum class LoadMode {
     kAuto,    ///< mapped for arena (v2) files, copied for legacy v1
     kMapped,  ///< require the zero-copy path; fail on v1 files
-    kCopied,  ///< force the stream parser (works for both versions)
+    kCopied,  ///< buffered read into an owned summary (both versions)
   };
 
   /// Which path an Engine's bits actually came from.
   enum class LoadPath {
     kBuilt,   ///< Build/FromFile: in-memory, never loaded from disk
     kMapped,  ///< zero-copy views over a MappedFile
-    kCopied,  ///< stream-parsed into owned storage
+    kCopied,  ///< parsed into an owned summary, no column section
   };
 
   /// Sketches `db` with the named algorithm. Returns nullopt when the
@@ -196,8 +201,8 @@ class Engine {
         algo_(std::move(algo)),
         views_(std::make_shared<ViewCache>()) {}
 
-  /// Resolve + payload-size validation shared by FromFile and both Open
-  /// paths; `error` (optional) receives the reason on nullopt.
+  /// Resolve + payload-size validation shared by FromFile and Open;
+  /// `error` (optional) receives the reason on nullopt.
   static std::optional<Engine> FromParts(sketch::SketchFile file,
                                          LoadPath load_path,
                                          std::string* error);

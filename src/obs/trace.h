@@ -1,5 +1,5 @@
 // Per-request trace context: stamps stage timings as one request
-// crosses ServeConnection -> Router -> SketchPod -> Engine (PR 8).
+// crosses DispatchRequest -> Router -> SketchPod -> Engine (PR 8).
 //
 // A RequestTrace is a stack-allocated span covering one request frame.
 // It installs itself as the calling thread's current trace; any code
@@ -14,13 +14,13 @@
 //
 // The stages, in request order:
 //
-//   kDecode   frame body decode + validation   (ServeConnection)
+//   kDecode   frame body decode + validation   (DispatchRequest)
 //   kRoute    Route() span: placement, health  (Router; includes the
 //             selection, coalesce wait/lead    kernel for the leader
 //                                              of a fused batch)
 //   kAcquire  sketch open/mmap/evict           (SketchPod::Acquire)
 //   kKernel   the fused Engine call itself     (Router::RunFused)
-//   kEncode   reply encode + write             (ServeConnection)
+//   kEncode   reply body encode                (DispatchRequest)
 //
 // Coalescing caveat: a fused batch executes on the leader's thread, so
 // kKernel (and the Stamp inside RunFused) lands on the leader's trace;

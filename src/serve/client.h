@@ -1,8 +1,8 @@
 // SketchClient: the request/reply side of the wire protocol.
 //
-// Wraps any Transport (a TcpConnect socket or one end of a
-// LoopbackTransport pair) and speaks one request at a time: encode,
-// send, read exactly one reply frame, decode.
+// Wraps any Transport (a TcpConnect socket, possibly behind a
+// FaultyTransport) and speaks one request at a time: encode, send, read
+// exactly one reply frame, decode.
 //
 // Failure semantics -- every nullopt return is classified by
 // last_failure(), and the classes behave differently:

@@ -1,9 +1,9 @@
 // The ifsketch wire protocol: versioned, length-prefixed binary frames.
 //
 // The serving subsystem (serve/pod.h, serve/router.h, serve/server.h)
-// speaks one frame format over any byte transport (serve/transport.h) --
-// the same codec drives the TCP server and the in-process loopback pair
-// the tests and benches use. Framing:
+// speaks one frame format over any byte stream -- the same codec drives
+// the reactor's sockets (serve/reactor.h) and the client's blocking
+// transports (serve/transport.h). Framing:
 //
 //   frame   := header || body
 //   header  := magic   u32   "IFSP" (bytes 'I','F','S','P')
@@ -316,7 +316,7 @@ std::optional<std::string> DecodeErrorMessage(std::string_view body);
 
 /// Incremental frame decoder for non-blocking reads: feed whatever bytes
 /// the socket produced, pull out complete frames. Accept/reject parity
-/// with the blocking path is the invariant the fuzz test enforces -- a
+/// with the blocking ReadFrame is the invariant the fuzz test enforces -- a
 /// byte stream chopped at any boundaries yields exactly the frames (and
 /// exactly the malformed verdict) that ReadFrame would produce reading
 /// the same stream whole. Header validation happens the moment byte 12

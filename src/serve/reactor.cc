@@ -426,9 +426,9 @@ struct ReactorServer::Impl {
         Submit(conn, slot, std::move(frame));
       }
       if (malformed) {
-        // Same contract as the blocking loop: answer what was already
-        // read (the slots ahead in the deque), then one kError, then
-        // close. Bytes after the malformed frame are never interpreted.
+        // The protocol.h contract: answer what was already read (the
+        // slots ahead in the deque), then one kError, then close. Bytes
+        // after the malformed frame are never interpreted.
         FailConnRead(loop, conn, "malformed frame");
         return;
       }
@@ -451,8 +451,8 @@ struct ReactorServer::Impl {
 
   void OnReadEof(Loop& loop, const std::shared_ptr<Conn>& conn) {
     if (conn->decoder.mid_frame()) {
-      // Died mid-frame: the blocking path answers this with kError
-      // before hanging up; match it (best effort, the peer may only
+      // Died mid-frame: framing is lost, so answer with one kError
+      // before hanging up (best effort, the peer may only have
       // half-closed and still be reading).
       FailConnRead(loop, conn, "malformed frame");
       return;

@@ -1,10 +1,12 @@
-// Event-loop serving: an epoll reactor front end over the Router.
+// Event-loop serving: the epoll reactor, the one server loop over the
+// Router.
 //
-// The blocking path (serve/server.h) spends one thread and one stack per
-// connection, which tops out at a few thousand clients. The reactor
-// serves the same protocol with a fixed thread budget: N event-loop
-// threads multiplex all connections through epoll, so ten thousand idle
-// connections cost ten thousand fds and nothing else. Layout:
+// The reactor serves the protocol with a fixed thread budget: N
+// event-loop threads multiplex all connections through epoll, so ten
+// thousand idle connections cost ten thousand fds and nothing else --
+// where a thread and a stack per connection would top out at a few
+// thousand clients. The server binary, the tests and the benches all
+// serve through it. Layout:
 //
 //   - Loop threads (default: hardware concurrency, `--loop-threads` in
 //     the binary). Each owns an epoll instance, an eventfd for
@@ -48,8 +50,8 @@
 // Observability (all in the router's registry): per-loop gauges
 // serve_loop_connections{loop=} and serve_loop_outbound_bytes{loop=},
 // per-loop counter serve_loop_wakeups_total{loop=}, plus the counters
-// above. Request metrics and traces are identical to the blocking path
-// because both run the same DispatchRequest.
+// above. Request metrics and traces come from DispatchRequest
+// (serve/server.h).
 #ifndef IFSKETCH_SERVE_REACTOR_H_
 #define IFSKETCH_SERVE_REACTOR_H_
 

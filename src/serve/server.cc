@@ -37,13 +37,6 @@ ReplyFrame ErrorReply(Status status, std::string_view message) {
   return reply;
 }
 
-bool SendError(Transport& transport, Status status,
-               std::string_view message) {
-  std::string wire;
-  EncodeError(status, message, &wire);
-  return transport.WriteAll(wire.data(), wire.size());
-}
-
 /// Turns a decoded query request into Itemsets over the target sketch's
 /// universe, handing back the acquired engine so routing can reuse it
 /// (one pod acquire per request). False (with `*error` filled) when the
@@ -219,10 +212,9 @@ ReplyFrame HandleSubscribe(Router& router, std::string_view body) {
     return ErrorReply(Status::kBadRequest, "undecodable subscribe request");
   }
   SnapshotState state;
-  // The wait blocks only the thread carrying this request (a connection
-  // thread on the blocking path, a dispatch worker on the reactor path);
-  // publishes arrive from the ingest thread and wake it through the
-  // pod's condition variable.
+  // The wait blocks only the reactor dispatch worker carrying this
+  // request; publishes arrive from the ingest thread and wake it through
+  // the pod's condition variable.
   if (!router.WaitForEpoch(request->sketch, request->min_epoch,
                            std::chrono::milliseconds(request->timeout_ms),
                            &state)) {
@@ -375,29 +367,6 @@ ReplyFrame DispatchRequest(Router& router, Opcode opcode,
   }
 }
 
-void ServeConnection(Router& router, Transport& transport) {
-  for (;;) {
-    Frame frame;
-    switch (ReadFrame(transport, &frame)) {
-      case ReadResult::kEof:
-        return;
-      case ReadResult::kMalformed:
-        // Framing is gone (bad header or short body): report once and
-        // hang up -- there is no boundary to resynchronize on.
-        SendError(transport, Status::kBadRequest, "malformed frame");
-        transport.CloseWrite();
-        return;
-      case ReadResult::kFrame:
-        break;
-    }
-    const ReplyFrame reply =
-        DispatchRequest(router, frame.header.opcode, frame.body);
-    if (!WriteFrame(transport, reply.opcode, reply.status, reply.body)) {
-      return;  // peer went away mid-reply
-    }
-  }
-}
-
 FdTransport::~FdTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
@@ -480,49 +449,6 @@ bool FdTransport::SetReadTimeout(std::chrono::milliseconds timeout) {
   tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
   tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
   return ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
-}
-
-TcpListener::~TcpListener() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-bool TcpListener::Listen(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd_, 64) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  port_ = ntohs(addr.sin_port);
-  return true;
-}
-
-std::unique_ptr<Transport> TcpListener::Accept() {
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) return nullptr;
-  return std::make_unique<FdTransport>(client);
-}
-
-void TcpListener::Shutdown() {
-  // shutdown(2) on a listening socket makes a blocked accept return
-  // immediately with an error (Linux: EINVAL) without racing fd reuse
-  // the way close() from another thread would; the fd itself still
-  // closes in the destructor.
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::unique_ptr<Transport> TcpConnect(std::uint16_t port) {

@@ -1,20 +1,17 @@
-// The serving loop: protocol dispatch over a Transport, plus TCP glue.
+// Request dispatch, plus the socket transport the client side uses.
 //
-// ServeConnection is the whole server behavior for one connection and is
-// transport-independent: the TCP binary (examples/ifsketch_server.cpp)
-// runs it over an accepted socket, the tests and benches run the very
-// same loop over a LoopbackTransport pair. Request frames dispatch
-// through a shared Router (coalescing across connections happens there);
-// malformed frames are answered with a kError frame where framing
-// permits and the connection is closed where it does not (a bad header
-// loses frame sync, so resynchronization is impossible by design --
-// length-prefixed framing has no frame boundary markers to hunt for).
+// DispatchRequest is the whole server behavior for one request frame and
+// is transport-independent: the epoll reactor (serve/reactor.h), the one
+// server loop, decodes frames off its sockets and hands each to
+// DispatchRequest on a worker, which decodes the body, routes it through
+// a shared Router (coalescing across connections happens there) and
+// encodes exactly one reply frame. Framing errors never get this far:
+// the reactor answers a malformed frame with one kError frame and closes
+// the connection (a bad header loses frame sync, and length-prefixed
+// framing has no boundary markers to resynchronize on).
 //
-// The TCP pieces here are deliberately minimal: a blocking accept loop
-// plus one thread per connection, which the tests and small tools still
-// use. The production front end is the epoll reactor (serve/reactor.h);
-// both paths answer requests through the one DispatchRequest below, so
-// a frame gets the identical reply bytes whichever loop carried it.
+// FdTransport wraps a connected socket for the blocking client side
+// (serve/client.h); TcpConnect opens one to a loopback port.
 #ifndef IFSKETCH_SERVE_SERVER_H_
 #define IFSKETCH_SERVE_SERVER_H_
 
@@ -22,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "serve/router.h"
 #include "serve/transport.h"
@@ -40,18 +38,11 @@ struct ReplyFrame {
 /// Every request opcode (and every failure) yields exactly one reply
 /// frame; a non-request opcode in a valid frame yields a kError reply
 /// without killing anything (the frame was consumed, framing holds).
-/// Counts serve_requests_total{op=} and runs under a RequestTrace
-/// exactly like the blocking loop always did. Thread-safe against one
-/// Router; per-op counters are cached thread-local so the hot path
-/// never takes the registry mutex.
+/// Counts serve_requests_total{op=} and runs under a RequestTrace.
+/// Thread-safe against one Router; per-op counters are cached
+/// thread-local so the hot path never takes the registry mutex.
 ReplyFrame DispatchRequest(Router& router, Opcode opcode,
                            std::string_view body);
-
-/// Serves one connection to completion: reads frames, dispatches through
-/// `router`, writes replies. Returns when the peer closes cleanly or a
-/// malformed frame forces the connection down. Safe to run on many
-/// threads against one Router.
-void ServeConnection(Router& router, Transport& transport);
 
 /// Transport over an open file descriptor (socket); owns and closes it.
 class FdTransport : public Transport {
@@ -72,33 +63,6 @@ class FdTransport : public Transport {
 
  private:
   int fd_;
-};
-
-/// Blocking loopback TCP listener.
-class TcpListener {
- public:
-  TcpListener() = default;
-  ~TcpListener();
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()).
-  bool Listen(std::uint16_t port);
-
-  /// The bound port (after a successful Listen).
-  std::uint16_t port() const { return port_; }
-
-  /// Accepts one connection; nullptr on error/shutdown.
-  std::unique_ptr<Transport> Accept();
-
-  /// Wakes a blocked Accept (it returns nullptr) and refuses further
-  /// connections; the graceful-shutdown path calls this from the signal
-  /// thread. Safe to call more than once; the fd closes in ~TcpListener.
-  void Shutdown();
-
- private:
-  int fd_ = -1;
-  std::uint16_t port_ = 0;
 };
 
 /// Connects to 127.0.0.1:`port`; nullptr on failure.

@@ -1,10 +1,5 @@
 #include "serve/transport.h"
 
-#include <algorithm>
-#include <condition_variable>
-#include <cstring>
-#include <deque>
-#include <mutex>
 #include <thread>
 
 namespace ifsketch::serve {
@@ -33,96 +28,6 @@ bool WriteFrame(Transport& transport, Opcode opcode, std::uint8_t status,
   std::string wire;
   if (!EncodeFrame(opcode, status, body, &wire)) return false;
   return transport.WriteAll(wire.data(), wire.size());
-}
-
-/// FIFO byte queue with blocking reads; closing wakes pending readers.
-class LoopbackChannel {
- public:
-  bool Write(const void* data, std::size_t size) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return false;
-    const char* bytes = static_cast<const char*>(data);
-    buffer_.insert(buffer_.end(), bytes, bytes + size);
-    cv_.notify_all();
-    return true;
-  }
-
-  /// Reads exactly `size` bytes; a zero timeout blocks forever, a
-  /// positive one fails the read after that long with no progress (the
-  /// client-deadline contract of Transport::SetReadTimeout).
-  bool Read(void* data, std::size_t size,
-            std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    char* bytes = static_cast<char*>(data);
-    std::size_t got = 0;
-    while (got < size) {
-      const auto ready = [this] { return !buffer_.empty() || closed_; };
-      if (timeout.count() <= 0) {
-        cv_.wait(lock, ready);
-      } else if (!cv_.wait_for(lock, timeout, ready)) {
-        return false;  // timed out with no progress
-      }
-      if (buffer_.empty()) return false;  // closed and drained
-      const std::size_t take =
-          std::min(size - got, buffer_.size());
-      std::copy(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(take), bytes + got);
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(take));
-      got += take;
-    }
-    return true;
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<char> buffer_;
-  bool closed_ = false;
-};
-
-LoopbackTransport::LoopbackTransport(std::shared_ptr<LoopbackChannel> read,
-                                     std::shared_ptr<LoopbackChannel> write)
-    : read_(std::move(read)), write_(std::move(write)) {}
-
-LoopbackTransport::~LoopbackTransport() {
-  // Dropping an end hangs up both directions it touches, so a peer
-  // blocked in ReadAll unblocks instead of waiting forever.
-  write_->Close();
-  read_->Close();
-}
-
-std::pair<std::unique_ptr<LoopbackTransport>,
-          std::unique_ptr<LoopbackTransport>>
-LoopbackTransport::CreatePair() {
-  auto a_to_b = std::make_shared<LoopbackChannel>();
-  auto b_to_a = std::make_shared<LoopbackChannel>();
-  std::unique_ptr<LoopbackTransport> a(
-      new LoopbackTransport(b_to_a, a_to_b));
-  std::unique_ptr<LoopbackTransport> b(
-      new LoopbackTransport(a_to_b, b_to_a));
-  return {std::move(a), std::move(b)};
-}
-
-bool LoopbackTransport::WriteAll(const void* data, std::size_t size) {
-  return write_->Write(data, size);
-}
-
-bool LoopbackTransport::ReadAll(void* data, std::size_t size) {
-  return read_->Read(data, size, read_timeout_);
-}
-
-void LoopbackTransport::CloseWrite() { write_->Close(); }
-
-bool LoopbackTransport::SetReadTimeout(std::chrono::milliseconds timeout) {
-  read_timeout_ = timeout;
-  return true;
 }
 
 // ------------------------------------------------------ fault injection

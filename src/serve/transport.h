@@ -1,13 +1,13 @@
 // Byte transports the wire protocol runs over.
 //
 // serve/protocol.h defines pure buffer codecs; this header supplies the
-// byte-stream abstraction underneath them, so the identical frames drive
-// a TCP socket (serve/server.h wraps an fd in FdTransport) and the
-// in-process loopback pair the tests and benches use. ReadFrame /
-// WriteFrame are the only frame I/O in the subsystem: ReadFrame reads
-// exactly one validated header and then exactly header.body_length body
-// bytes -- never more -- so a malformed frame cannot make the server
-// over-read into the next frame.
+// blocking byte-stream abstraction the client side moves frames through
+// (serve/server.h wraps a socket in FdTransport), plus a fault-injecting
+// decorator for the failover tests and benches. ReadFrame / WriteFrame
+// are the blocking frame I/O: ReadFrame reads exactly one validated
+// header and then exactly header.body_length body bytes -- never more --
+// so a malformed frame cannot make a reader over-read into the next
+// frame. (The server side decodes incrementally with FrameDecoder.)
 #ifndef IFSKETCH_SERVE_TRANSPORT_H_
 #define IFSKETCH_SERVE_TRANSPORT_H_
 
@@ -15,9 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
-#include <utility>
 
 #include "serve/protocol.h"
 
@@ -87,38 +85,6 @@ ReadResult ReadFrame(Transport& transport, Frame* frame);
 /// transport fails.
 bool WriteFrame(Transport& transport, Opcode opcode, std::uint8_t status,
                 std::string_view body);
-
-/// One direction of an in-process connection: a bounded-unbounded byte
-/// queue with blocking reads. Shared by the two LoopbackTransport ends.
-class LoopbackChannel;
-
-/// In-process Transport: two channels cross-wired so that one end's
-/// writes are the other end's reads. Drives the protocol (and the whole
-/// server dispatch loop) in tests and benches without sockets.
-class LoopbackTransport : public Transport {
- public:
-  /// A connected pair: frames written to `first` are read by `second`
-  /// and vice versa.
-  static std::pair<std::unique_ptr<LoopbackTransport>,
-                   std::unique_ptr<LoopbackTransport>>
-  CreatePair();
-
-  ~LoopbackTransport() override;
-
-  bool WriteAll(const void* data, std::size_t size) override;
-  bool ReadAll(void* data, std::size_t size) override;
-  void CloseWrite() override;
-
-  bool SetReadTimeout(std::chrono::milliseconds timeout) override;
-
- private:
-  LoopbackTransport(std::shared_ptr<LoopbackChannel> read,
-                    std::shared_ptr<LoopbackChannel> write);
-
-  std::shared_ptr<LoopbackChannel> read_;
-  std::shared_ptr<LoopbackChannel> write_;
-  std::chrono::milliseconds read_timeout_{0};  // 0 = block forever
-};
 
 // ------------------------------------------------------ fault injection
 

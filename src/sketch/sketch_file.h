@@ -37,25 +37,26 @@
 //     never chases pointers, only bounds-checked offsets.
 //
 //     Trust model of the column section: it is DERIVED data, redundant
-//     with the summary, and WriteSketch guarantees the two agree.
-//     Validators check its structure (shape, alignment, tail bits,
+//     with the summary, and WriteSketch guarantees the two agree. The
+//     parser checks its structure (shape, alignment, tail bits,
 //     padding) but deliberately not transpose-equality -- that would
 //     cost the O(payload) pass zero-copy loading exists to avoid. A
 //     corrupted column data word is therefore as undetectable as a
 //     flipped payload bit in a v1 file, and since the mapped path
 //     queries the section directly, such corruption shows up in mapped
-//     answers (the copying path re-transposes the summary instead).
-//     Golden files and the CI both-path diffs police producers.
+//     answers (the copied load path drops the section and re-transposes
+//     the summary instead). Golden files and the CI both-path diffs
+//     police producers.
 //
-// ReadSketch validates every header field (magic, version, enum bytes,
-// parameter ranges, section framing) and returns nullopt on anything
-// malformed -- pass a SketchError to learn what was wrong and the byte
-// offset of the first invalid field. The carried algorithm name is what
-// makes files self-describing: pass a loaded SketchFile to
-// ResolveAlgorithm() to get the producing SketchAlgorithm back from the
-// registry, or use Engine::Open (engine.h) which does the whole
-// load-resolve-query wiring in one call (memory-mapping v2 files for
-// zero-copy loads; ReadSketch here is the copying path).
+// Every reader runs the one image parser (sketch_view.h) and returns
+// nullopt on anything malformed -- pass a SketchError to learn what was
+// wrong and the byte offset of the first invalid field. ReadSketch and
+// LoadSketchFile hand back an owned copy of the summary. The carried
+// algorithm name is what makes files self-describing: pass a loaded
+// SketchFile to ResolveAlgorithm() to get the producing SketchAlgorithm
+// back from the registry, or use Engine::Open (engine.h) which does the
+// whole load-resolve-query wiring in one call (memory-mapping v2 files
+// for zero-copy loads).
 #ifndef IFSKETCH_SKETCH_SKETCH_FILE_H_
 #define IFSKETCH_SKETCH_SKETCH_FILE_H_
 
@@ -70,10 +71,11 @@
 
 namespace ifsketch::sketch {
 
-/// Shared layout constants of the v2 arena framing (used by the writer
-/// here and the in-place validator in sketch_view.h).
+/// Layout constants of the IFSK framing (used by the writer here and the
+/// image parser in sketch_view.h).
 namespace arena {
 
+inline constexpr char kMagic[4] = {'I', 'F', 'S', 'K'};
 inline constexpr std::uint16_t kVersionLegacy = 1;
 inline constexpr std::uint16_t kVersionArena = 2;
 
@@ -81,6 +83,11 @@ inline constexpr std::uint16_t kVersionArena = 2;
 /// a page-aligned mapping makes every section pointer 64-byte aligned --
 /// cache-line and AVX-512-lane aligned for the word kernels.
 inline constexpr std::size_t kSectionAlign = 64;
+
+/// The first multiple of kSectionAlign at or after `offset`.
+inline constexpr std::uint64_t RoundUpToAlign(std::uint64_t offset) {
+  return (offset + (kSectionAlign - 1)) / kSectionAlign * kSectionAlign;
+}
 
 enum SectionKind : std::uint32_t {
   kSummaryWords = 1,
@@ -100,7 +107,7 @@ inline constexpr std::size_t ColumnStrideWords(std::size_t rows) {
 /// Optional integrity trailer (PR 10), appended after the last section
 /// of a v2 file: magic "IFCT" (4 bytes), checksum kind u32, checksum
 /// value u64 -- 16 bytes covering every byte before the trailer
-/// (header + section table + sections + padding). Both parsers accept a
+/// (header + section table + sections + padding). The parser accepts a
 /// v2 file that ends exactly at the last section (trailer-less, the
 /// pre-PR-10 framing, readable forever) or exactly kTrailerBytes later
 /// with a valid trailer; anything else is rejected. v1 files never
@@ -156,8 +163,10 @@ bool WriteSketch(std::ostream& out, const SketchFile& file,
                  SketchChecksum checksum = SketchChecksum::kNone,
                  ColumnSection columns = ColumnSection::kAuto);
 
-/// Parses a stream written by WriteSketch (either version); nullopt on
-/// malformed input, with the reason and offset in *error when provided.
+/// Parses a stream written by WriteSketch (either version), reading it
+/// to its end into an aligned image (util::MappedFile::FromBytes) for
+/// the image parser; nullopt on malformed input, with the reason and
+/// offset in *error when provided. The summary is owned.
 std::optional<SketchFile> ReadSketch(std::istream& in,
                                      SketchError* error = nullptr);
 
@@ -170,6 +179,10 @@ bool SaveSketchFile(const std::string& path, const SketchFile& file,
                     std::uint16_t version = arena::kVersionArena,
                     SketchChecksum checksum = SketchChecksum::kNone,
                     SketchError* error = nullptr);
+
+/// Reads `path` into a buffered image (util::MappedFile::OpenBuffered)
+/// and parses it like ReadSketch; an unreadable file reports the I/O
+/// error at offset 0.
 std::optional<SketchFile> LoadSketchFile(const std::string& path,
                                          SketchError* error = nullptr);
 

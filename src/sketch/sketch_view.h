@@ -1,30 +1,33 @@
-// Zero-copy views over arena (v2) IFSK images.
+// The IFSK image parser: the one validator behind every load path.
 //
-// ReadSketch (sketch_file.h) is the copying path: it streams a file and
-// materializes an owned summary. This module is the mapped path: given
-// the raw bytes of a v2 file -- normally a util::MappedFile, so the
-// bytes are the page cache itself -- ViewSketchImage validates the whole
-// image in place (same validate-everything discipline and same
-// acceptance set as ReadSketch: magic, version, enum bytes, parameter
-// ranges, section framing, alignment, tail bits) and returns a
-// SketchView whose summary is a borrowed util::BitVector::View over the
-// mapping and whose column section, when present, is described by an
-// ArenaColumns ready for core::ColumnStore::FromColumnWords. Nothing is
-// decoded and nothing is copied: opening a mapped sketch is O(header +
-// d) regardless of payload size, and the SIMD query kernels run straight
-// out of the mapping.
+// ReadSketch and LoadSketchFile (sketch_file.h) and Engine::Open in every
+// LoadMode get a file's bytes into one 64-byte-aligned util::MappedFile
+// image -- an mmap (MappedFile::Open), a buffered read (OpenBuffered),
+// or an aligned copy of a stream (FromBytes) -- and run ViewSketchImage
+// over it. The parser validates the whole image in place, under the
+// validate-everything discipline (magic, version, enum bytes, parameter
+// ranges, section framing, alignment, padding, tail bits, the optional
+// integrity trailer), and returns a SketchView:
 //
-// Lifetime: the views borrow the image. SketchView keeps the MappedFile
-// alive via shared_ptr when opened through ViewSketchFile; callers using
-// the raw-pointer overload (tests, fuzzers) must keep their buffer alive
-// and 8-byte aligned themselves.
+//   - v2 (arena): file.summary is a borrowed util::BitVector::View over
+//     the image, and `columns`, when the file carries a column section,
+//     describes it for core::ColumnStore::FromColumnWords. Nothing is
+//     decoded and nothing is copied: opening a mapped sketch is
+//     O(header + d) regardless of payload size, and the SIMD query
+//     kernels run straight out of the mapping.
+//   - v1 (legacy, byte-packed): there are no word sections to borrow,
+//     so file.summary is decoded into owned bits and `columns` is empty.
+//     The legacy rule ignores bytes after the payload.
+//
+// Lifetime: the view holds its image through a shared_ptr, so the
+// borrowed summary and columns stay valid for as long as the view does.
+// Copying file.summary deep-copies it out of the image.
 #ifndef IFSKETCH_SKETCH_SKETCH_VIEW_H_
 #define IFSKETCH_SKETCH_SKETCH_VIEW_H_
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "sketch/sketch_file.h"
 #include "util/mapped_file.h"
@@ -40,37 +43,23 @@ struct ArenaColumns {
   std::size_t stride_words = 0;
 };
 
-/// A validated, zero-copy window onto an arena sketch image. `file` has
-/// the same metadata ReadSketch would produce, but file.summary is a
-/// view borrowing the image (file.summary.is_view() is true).
+/// A validated window onto an IFSK image. `file` has the header metadata
+/// and the summary (a view into `image` for v2, owned bits for v1);
+/// `columns` is set only for v2 files with a column section.
 struct SketchView {
   SketchFile file;
   std::optional<ArenaColumns> columns;
-  /// Keeps the bytes alive when opened via ViewSketchFile; null when the
-  /// caller owns the image buffer.
-  std::shared_ptr<const util::MappedFile> mapping;
+  /// The bytes file.summary and columns borrow from.
+  std::shared_ptr<const util::MappedFile> image;
 };
 
-/// Validates a v2 image in place. `data` must be 8-byte aligned and stay
-/// alive for the returned view's lifetime. Returns nullopt on anything
-/// malformed -- including a well-formed v1 image (v1 has no aligned word
-/// sections to view; read it through the copying path) -- with the
-/// reason and byte offset in *error when provided.
-std::optional<SketchView> ViewSketchImage(const unsigned char* data,
-                                          std::size_t size,
-                                          SketchError* error = nullptr);
-
-/// Maps `path` (util::MappedFile::Open, with its read-whole-file
-/// fallback) and validates it in place; the returned view owns the
-/// mapping. On failure *error names the file-level or validation error.
-std::optional<SketchView> ViewSketchFile(const std::string& path,
-                                         SketchError* error = nullptr);
-
-/// The format version of an IFSK image: arena::kVersionLegacy,
-/// arena::kVersionArena, or 0 when the bytes do not start with a
-/// well-formed IFSK magic + version. Cheap (reads 6 bytes); used to
-/// route Open between the mapped and copying paths.
-std::uint16_t PeekSketchVersion(const unsigned char* data, std::size_t size);
+/// Validates an IFSK image of either version in place and returns a view
+/// that owns it. Returns nullopt on anything malformed, with the reason
+/// and the byte offset of the first invalid field in *error when
+/// provided.
+std::optional<SketchView> ViewSketchImage(
+    std::shared_ptr<const util::MappedFile> image,
+    SketchError* error = nullptr);
 
 }  // namespace ifsketch::sketch
 

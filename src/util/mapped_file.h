@@ -1,7 +1,7 @@
 // Read-only whole-file memory mapping with a portable fallback.
 //
-// The zero-copy sketch load path (sketch/sketch_view.h) wants a file's
-// bytes addressable in place so validated views -- not copies -- can be
+// The IFSK image parser (sketch/sketch_view.h) wants a file's bytes
+// addressable in place so validated views -- not copies -- can be
 // handed to the query kernels, and so the same physical pages are shared
 // by every process serving the file. MappedFile is that primitive: an
 // RAII mmap(PROT_READ, MAP_SHARED) of the whole file on POSIX, released
@@ -9,7 +9,9 @@
 // unavailable (non-POSIX builds, or a filesystem that refuses to map) it
 // falls back to reading the whole file into one 64-byte-aligned heap
 // buffer -- callers see identical bytes and alignment either way, only
-// is_mapped() differs.
+// is_mapped() differs. FromBytes builds the same buffered image from
+// bytes already in memory (streams, tests), so every IFSK load runs the
+// one parser over one kind of image.
 //
 // Alignment guarantee: data() is at least 64-byte aligned on both paths
 // (mmap returns page-aligned addresses; the fallback allocates aligned
@@ -40,6 +42,11 @@ class MappedFile {
   /// fallback path, callable directly for tests and diagnostics.
   static std::shared_ptr<const MappedFile> OpenBuffered(
       const std::string& path, std::string* error = nullptr);
+
+  /// An owned, 64-byte-aligned copy of `size` bytes at `data` (null
+  /// only when size == 0); never mapped.
+  static std::shared_ptr<const MappedFile> FromBytes(const void* data,
+                                                     std::size_t size);
 
   ~MappedFile();
 

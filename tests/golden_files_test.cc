@@ -19,7 +19,9 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,10 +30,17 @@
 #include "golden_spec.h"
 #include "sketch/sketch_file.h"
 #include "sketch/sketch_view.h"
+#include "util/mapped_file.h"
 #include "util/random.h"
 
 namespace ifsketch {
 namespace {
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 struct GoldenLine {
   std::string key;   // "a,b,c" ascending attribute list
@@ -111,8 +120,9 @@ TEST_P(GoldenFilesTest, OpenReproducesRecordedAnswers) {
 
 // Opens `file` (under the test data dir) through BOTH load paths -- the
 // zero-copy mapped path (views straight over the file image, columns
-// adopted from the column section when it has one) and the copying
-// stream parser -- and requires the answers recorded in `answers`.
+// adopted from the column section when it has one) and the copied path
+// (owned summary, decoded by the algorithm's loader) -- and requires the
+// answers recorded in `answers`.
 void ExpectArenaGoldenOnBothLoadPaths(const std::string& file,
                                       const std::string& answers,
                                       const std::string& algorithm) {
@@ -167,8 +177,8 @@ TEST(GoldenFilesTest, ArenaGoldenBitIdenticalOnBothLoadPaths) {
 // v1 recording -- the mapped path without a column section to adopt.
 TEST(GoldenFilesTest, ColumnlessMedianBoostArenaGoldenOnBothLoadPaths) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
-  const auto view =
-      sketch::ViewSketchFile(dir + "/median_boost_subsample_v2.ifsk");
+  const auto view = sketch::ViewSketchImage(
+      util::MappedFile::Open(dir + "/median_boost_subsample_v2.ifsk"));
   ASSERT_TRUE(view.has_value());
   EXPECT_FALSE(view->columns.has_value())
       << "this golden pins the summary-only framing; regenerate it only "
@@ -184,13 +194,8 @@ TEST(GoldenFilesTest, ColumnlessMedianBoostArenaGoldenOnBothLoadPaths) {
 // load paths, pinning trailer validation to checked-in bytes.
 TEST(GoldenFilesTest, ChecksummedArenaGoldenMatchesRecordedAnswers) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
-  const auto read = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string plain = read(dir + "/release_db_v2.ifsk");
-  const std::string checked = read(dir + "/release_db_v2_crc.ifsk");
+  const std::string plain = ReadBytes(dir + "/release_db_v2.ifsk");
+  const std::string checked = ReadBytes(dir + "/release_db_v2_crc.ifsk");
   ASSERT_FALSE(plain.empty());
   ASSERT_EQ(checked.size(), plain.size() + sketch::arena::kTrailerBytes);
   EXPECT_EQ(checked.compare(0, plain.size(), plain), 0)
@@ -213,6 +218,50 @@ TEST(GoldenFilesTest, ChecksummedArenaGoldenMatchesRecordedAnswers) {
       ASSERT_EQ(golden_lines[i].estimate, estimates[i]);
       ASSERT_EQ(golden_lines[i].frequent, bits[i]);
     }
+  }
+}
+
+// Every load mode runs the one image parser, so a damaged file reads
+// the same whichever path opens it: each truncation of a v2 golden must
+// fail through kCopied and kMapped with the identical "path: byte N:
+// reason" -- or, cut exactly where the checksum trailer starts, load
+// through both.
+TEST(GoldenFilesTest, TruncatedArenaGoldensFailIdenticallyOnBothLoadPaths) {
+  const std::string dir = IFSKETCH_TEST_DATA_DIR;
+  const struct {
+    const char* name;
+    std::size_t valid_prefixes;
+  } kGoldens[] = {
+      {"release_db_v2_crc.ifsk", 1},  // the cut where the trailer starts
+      {"median_boost_subsample_v2.ifsk", 0},
+  };
+  for (const auto& golden : kGoldens) {
+    SCOPED_TRACE(golden.name);
+    const std::string bytes = ReadBytes(dir + "/" + golden.name);
+    ASSERT_FALSE(bytes.empty());
+    const std::string path =
+        testing::TempDir() + "/truncated_" + golden.name;
+    std::ofstream(path, std::ios::binary) << bytes;
+    std::size_t accepted = 0;
+    for (std::size_t size = bytes.size(); size-- > 0;) {
+      std::filesystem::resize_file(path, size);
+      std::string copied_error;
+      std::string mapped_error;
+      const bool copied =
+          Engine::Open(path, Engine::LoadMode::kCopied, &copied_error)
+              .has_value();
+      const bool mapped =
+          Engine::Open(path, Engine::LoadMode::kMapped, &mapped_error)
+              .has_value();
+      ASSERT_EQ(copied, mapped) << "size " << size;
+      ASSERT_EQ(copied_error, mapped_error) << "size " << size;
+      if (copied) {
+        ++accepted;
+        continue;
+      }
+      ASSERT_EQ(copied_error.rfind(path + ": byte ", 0), 0u) << copied_error;
+    }
+    EXPECT_EQ(accepted, golden.valid_prefixes);
   }
 }
 

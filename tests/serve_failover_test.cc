@@ -23,6 +23,7 @@
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/transport.h"
+#include "serve_test_server.h"
 #include "util/random.h"
 
 namespace ifsketch::serve {
@@ -276,7 +277,7 @@ TEST(FailoverTest, EmptyPodParticipatesHarmlessly) {
 // ------------------------------------------------- fault injection
 
 TEST(FaultyTransportTest, FailAfterBytesDeliversExactPrefixThenDies) {
-  auto [a, b] = LoopbackTransport::CreatePair();
+  auto [a, b] = SocketPair();
   FaultPlan plan;
   plan.fail_after_bytes = 5;
   FaultyTransport faulty(std::move(a), plan);
@@ -295,7 +296,7 @@ TEST(FaultyTransportTest, FailAfterBytesDeliversExactPrefixThenDies) {
 
 TEST(FaultyTransportTest, ScheduleIsDeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
-    auto [a, b] = LoopbackTransport::CreatePair();
+    auto [a, b] = SocketPair();
     FaultPlan plan;
     plan.seed = seed;
     plan.fail_write = 0.3;
@@ -313,29 +314,6 @@ TEST(FaultyTransportTest, ScheduleIsDeterministicPerSeed) {
 
 // --------------------------------------------------- client retry
 
-/// Spins up ServeConnection threads on demand; each MakeTransport call
-/// is one fresh "connection" to the shared router.
-class LoopbackServer {
- public:
-  explicit LoopbackServer(Router& router) : router_(router) {}
-
-  ~LoopbackServer() {
-    for (auto& t : threads_) t.join();
-  }
-
-  std::unique_ptr<Transport> MakeTransport() {
-    auto [client_end, server_end] = LoopbackTransport::CreatePair();
-    threads_.emplace_back([this, t = std::move(server_end)]() mutable {
-      ServeConnection(router_, *t);
-    });
-    return std::move(client_end);
-  }
-
- private:
-  Router& router_;
-  std::vector<std::thread> threads_;
-};
-
 TEST(ClientRetryTest, RetriesTransportFailureOnFreshConnection) {
   Router router(MakePods(1));
   const std::string path = MakeSketchFile("retry_ok", 36);
@@ -346,7 +324,7 @@ TEST(ClientRetryTest, RetriesTransportFailureOnFreshConnection) {
   std::vector<double> expected;
   direct->estimate_many(queries, &expected);
 
-  LoopbackServer server(router);
+  TestServer server(router);
   // Connection 1 dies on its first read (reply never arrives);
   // connection 2 is clean. The call must succeed on attempt 2.
   std::atomic<int> connections{0};
@@ -355,7 +333,7 @@ TEST(ClientRetryTest, RetriesTransportFailureOnFreshConnection) {
   {
     SketchClient client(
         [&]() -> std::unique_ptr<Transport> {
-          auto inner = server.MakeTransport();
+          auto inner = server.Connect();
           if (connections++ == 0) {
             FaultPlan plan;
             plan.fail_read = 1.0;
@@ -378,7 +356,7 @@ TEST(ClientRetryTest, RequestRefusalsDoNotRetry) {
   Router router(MakePods(1));
   const std::string path = MakeSketchFile("retry_refuse", 37);
   ASSERT_TRUE(router.AddSketch("s", path));
-  LoopbackServer server(router);
+  TestServer server(router);
   std::atomic<int> connections{0};
   RetryPolicy policy;
   policy.max_attempts = 5;
@@ -387,7 +365,7 @@ TEST(ClientRetryTest, RequestRefusalsDoNotRetry) {
     SketchClient client(
         [&] {
           ++connections;
-          return server.MakeTransport();
+          return server.Connect();
         },
         policy);
     // Unknown sketch: a server verdict, not a transport failure.
@@ -405,8 +383,8 @@ TEST(ClientRetryTest, RequestRefusalsDoNotRetry) {
 }
 
 TEST(ClientRetryTest, AttemptDeadlineTurnsSilenceIntoRetryableFailure) {
-  // No server behind any connection: every attempt times out rather
-  // than blocking forever, then the attempt budget runs out.
+  // A silent peer behind every connection: every attempt times out
+  // rather than blocking forever, then the attempt budget runs out.
   std::vector<std::unique_ptr<Transport>> parked;  // keep peers alive
   RetryPolicy policy;
   policy.max_attempts = 2;
@@ -414,7 +392,7 @@ TEST(ClientRetryTest, AttemptDeadlineTurnsSilenceIntoRetryableFailure) {
   policy.initial_backoff = std::chrono::milliseconds(1);
   SketchClient client(
       [&] {
-        auto [client_end, server_end] = LoopbackTransport::CreatePair();
+        auto [client_end, server_end] = SocketPair();
         parked.push_back(std::move(server_end));
         return std::move(client_end);
       },
@@ -437,7 +415,7 @@ TEST(ClientRetryTest, OverallDeadlineCapsTheRetryLoop) {
   policy.initial_backoff = std::chrono::milliseconds(5);
   SketchClient client(
       [&] {
-        auto [client_end, server_end] = LoopbackTransport::CreatePair();
+        auto [client_end, server_end] = SocketPair();
         parked.push_back(std::move(server_end));
         return std::move(client_end);
       },
@@ -455,8 +433,8 @@ TEST(ClientWireStatusTest, RefreshAndSubscribeUnknownNames) {
   Router router(MakePods(2), Replicated(2));
   const std::string path = MakeSketchFile("wire_status", 38);
   ASSERT_TRUE(router.AddSketch("s", path));
-  LoopbackServer server(router);
-  SketchClient client(server.MakeTransport());
+  TestServer server(router);
+  SketchClient client(server.Connect());
 
   const auto refreshed = client.Refresh("ghost");
   EXPECT_FALSE(refreshed.has_value());
@@ -481,8 +459,8 @@ TEST(ClientWireStatusTest, HealthReportsEveryPod) {
   std::vector<double> sink;
   ASSERT_EQ(router.EstimateMany("s", RandomQueries(4, 3), &sink),
             RouteStatus::kOk);
-  LoopbackServer server(router);
-  SketchClient client(server.MakeTransport());
+  TestServer server(router);
+  SketchClient client(server.Connect());
   const auto health = client.Health();
   ASSERT_TRUE(health.has_value()) << client.last_error();
   ASSERT_EQ(health->size(), 3u);

@@ -3,10 +3,12 @@
 //
 //   - K request frames written back-to-back before any reply is read
 //     come back as exactly K replies, in request order, bit-identical
-//     (for deterministic opcodes) to the same frames served one at a
-//     time by the blocking ServeConnection loop -- every opcode
-//     including HEALTH and STATS, and mixed-opcode interleavings with a
-//     refused (unknown-sketch) request in the middle.
+//     (for deterministic opcodes) to the same frames dispatched one at a
+//     time through DispatchRequest and framed with EncodeFrame -- every
+//     opcode including HEALTH and STATS, and mixed-opcode interleavings
+//     with a refused (unknown-sketch) request in the middle. Because
+//     the pipeline arrives in one write, a server that over-read one
+//     frame would swallow the next request and never answer it.
 //   - A heavy first request never lets the cheap requests behind it
 //     overtake: replies are strictly ordered even when execution is not.
 //   - A slow client delivering the same pipeline one byte per write
@@ -40,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -49,7 +52,6 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "serve/transport.h"
 #include "util/random.h"
 
 namespace ifsketch::serve {
@@ -195,23 +197,25 @@ std::vector<Step> FullPipeline(const Engine& engine) {
   return steps;
 }
 
-/// Serial reference: the same frames through the blocking
-/// ServeConnection loop, one round trip at a time.
+/// Serial reference: the same frames dispatched one at a time, each
+/// reply framed exactly as the reactor frames it on the wire.
 std::vector<Frame> SerialReplies(Router& router,
                                  const std::vector<Step>& steps) {
-  auto [client_end, server_end] = LoopbackTransport::CreatePair();
-  std::thread server([&router, t = std::move(server_end)]() mutable {
-    ServeConnection(router, *t);
-  });
   std::vector<Frame> replies;
   for (const Step& step : steps) {
-    EXPECT_TRUE(client_end->WriteAll(step.frame.data(), step.frame.size()));
-    Frame reply;
-    EXPECT_EQ(ReadFrame(*client_end, &reply), ReadResult::kFrame);
-    replies.push_back(std::move(reply));
+    const auto request =
+        DecodeFrameHeader(step.frame.data(), kFrameHeaderBytes);
+    EXPECT_TRUE(request.has_value());
+    const ReplyFrame reply =
+        DispatchRequest(router, request.value().opcode,
+                        std::string_view(step.frame).substr(kFrameHeaderBytes));
+    std::string wire;
+    EXPECT_TRUE(EncodeFrame(reply.opcode, reply.status, reply.body, &wire));
+    Frame frame;
+    frame.header = DecodeFrameHeader(wire.data(), kFrameHeaderBytes).value();
+    frame.body = wire.substr(kFrameHeaderBytes);
+    replies.push_back(std::move(frame));
   }
-  client_end.reset();
-  server.join();
   return replies;
 }
 
@@ -257,7 +261,7 @@ void ExpectReplies(Transport& transport, const std::vector<Step>& steps,
   }
 }
 
-TEST(ServeReactorTest, PipelinedRepliesAreOrderedAndMatchSerialLoopback) {
+TEST(ServeReactorTest, PipelinedRepliesAreOrderedAndMatchSerialDispatch) {
   Rig rig = MakeRig("reactor_pipe", 11);
   const std::vector<Step> steps = FullPipeline(*rig.direct);
   const std::vector<Frame> reference = SerialReplies(*rig.router, steps);

@@ -1,10 +1,9 @@
-// The full serving stack over the loopback transport: for EVERY
-// registered algorithm, answers served through
-// protocol -> ServeConnection -> Router -> SketchPod -> Engine are
-// bit-identical to direct Engine queries on the same file; malformed
-// frames (truncated header, oversized declared length, unknown opcode,
-// version mismatch) are rejected without crashing the server and without
-// reading past the declared frame length.
+// The full serving stack over loopback TCP: for EVERY registered
+// algorithm, answers served through
+// protocol -> ReactorServer -> DispatchRequest -> Router -> SketchPod ->
+// Engine are bit-identical to direct Engine queries on the same file;
+// malformed frames (truncated header, oversized declared length, unknown
+// opcode, version mismatch) are rejected without crashing the server.
 
 #include "serve/server.h"
 
@@ -20,6 +19,7 @@
 
 #include "data/generators.h"
 #include "serve/client.h"
+#include "serve_test_server.h"
 #include "util/random.h"
 
 namespace ifsketch::serve {
@@ -57,32 +57,6 @@ Rig MakeRig(const std::string& algorithm, const std::string& stem,
   EXPECT_TRUE(router->AddSketch("s", path));
   return Rig{std::move(router), *std::move(built)};
 }
-
-/// Runs ServeConnection on a loopback peer; joins on destruction.
-class LoopbackServer {
- public:
-  explicit LoopbackServer(std::shared_ptr<Router> router) {
-    auto [client_end, server_end] = LoopbackTransport::CreatePair();
-    client_end_ = std::move(client_end);
-    thread_ = std::thread(
-        [router = std::move(router), t = std::move(server_end)]() mutable {
-          ServeConnection(*router, *t);
-        });
-  }
-  ~LoopbackServer() {
-    client_end_.reset();  // hang up so the server loop sees EOF
-    thread_.join();
-  }
-
-  std::unique_ptr<Transport> TakeClientEnd() {
-    return std::move(client_end_);
-  }
-  Transport& client_end() { return *client_end_; }
-
- private:
-  std::unique_ptr<Transport> client_end_;
-  std::thread thread_;
-};
 
 /// Queries of every size the sketch supports (RELEASE-ANSWERS answers
 /// only |T| = k; sample-backed algorithms answer all sizes).
@@ -129,8 +103,8 @@ TEST_P(ServedEquivalenceTest, ServedAnswersAreBitIdenticalToDirect) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   Rig rig = MakeRig(GetParam(), stem, 31);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
 
   const auto queries = SupportedQueries(rig.direct, 32);
   ASSERT_FALSE(queries.empty());
@@ -187,8 +161,8 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredAlgorithms, ServedEquivalenceTest,
 
 TEST(ServeServerTest, UnknownSketchGetsErrorNotCrash) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_unknown", 33);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   EXPECT_FALSE(client.Info("nope").has_value());
   EXPECT_EQ(client.last_status(), Status::kUnknownSketch);
   EXPECT_FALSE(client.EstimateMany("nope", {{0}}).has_value());
@@ -199,8 +173,8 @@ TEST(ServeServerTest, UnknownSketchGetsErrorNotCrash) {
 
 TEST(ServeServerTest, OutOfRangeAttributeGetsUnsupportedQuery) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_range", 34);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   EXPECT_FALSE(client.EstimateMany("s", {{0, 99}}).has_value());
   EXPECT_EQ(client.last_status(), Status::kUnsupportedQuery);
   EXPECT_TRUE(client.Info("s").has_value());
@@ -209,8 +183,8 @@ TEST(ServeServerTest, OutOfRangeAttributeGetsUnsupportedQuery) {
 TEST(ServeServerTest, UnsupportedQuerySizeGetsUnsupportedQuery) {
   // RELEASE-ANSWERS answers only |T| = k (= 3 here).
   Rig rig = MakeRig("RELEASE-ANSWERS", "srv_size", 35);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   EXPECT_FALSE(client.EstimateMany("s", {{0, 1}}).has_value());
   EXPECT_EQ(client.last_status(), Status::kUnsupportedQuery);
   EXPECT_TRUE(client.EstimateMany("s", {{0, 1, 2}}).has_value())
@@ -227,20 +201,21 @@ ReadResult ReadReply(Transport& transport, Frame* frame) {
 
 TEST(ServeServerTest, TruncatedHeaderClosesConnectionCleanly) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_trunc", 36);
-  LoopbackServer server(rig.router);
-  Transport& wire = server.client_end();
+  TestServer server(*rig.router);
+  const auto wire = server.Connect();
+  ASSERT_NE(wire, nullptr);
   // 5 bytes of a 12-byte header, then hang up.
-  ASSERT_TRUE(wire.WriteAll("IFSP\x01", 5));
-  wire.CloseWrite();
+  ASSERT_TRUE(wire->WriteAll("IFSP\x01", 5));
+  wire->CloseWrite();
   Frame reply;
   // The server saw EOF mid-header: it answers with a kError frame (best
   // effort) and closes -- it must NOT block waiting for the rest.
-  const ReadResult result = ReadReply(wire, &reply);
+  const ReadResult result = ReadReply(*wire, &reply);
   if (result == ReadResult::kFrame) {
     EXPECT_EQ(reply.header.opcode, Opcode::kError);
     EXPECT_EQ(reply.header.status,
               static_cast<std::uint8_t>(Status::kBadRequest));
-    EXPECT_EQ(ReadReply(wire, &reply), ReadResult::kEof);
+    EXPECT_EQ(ReadReply(*wire, &reply), ReadResult::kEof);
   } else {
     EXPECT_EQ(result, ReadResult::kEof);
   }
@@ -248,8 +223,9 @@ TEST(ServeServerTest, TruncatedHeaderClosesConnectionCleanly) {
 
 TEST(ServeServerTest, OversizedDeclaredLengthIsRejected) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_big", 37);
-  LoopbackServer server(rig.router);
-  Transport& wire = server.client_end();
+  TestServer server(*rig.router);
+  const auto wire = server.Connect();
+  ASSERT_NE(wire, nullptr);
   // Hand-build a header declaring a body over the cap. The server must
   // reject from the header alone -- were it to allocate/read the claimed
   // 16 MiB+ body of which nothing arrives, it would hang, not answer.
@@ -261,19 +237,20 @@ TEST(ServeServerTest, OversizedDeclaredLengthIsRejected) {
   header.push_back('\0');
   const std::uint32_t huge = kMaxBodyBytes + 1;
   header.append(reinterpret_cast<const char*>(&huge), 4);
-  ASSERT_TRUE(wire.WriteAll(header.data(), header.size()));
+  ASSERT_TRUE(wire->WriteAll(header.data(), header.size()));
   Frame reply;
-  ASSERT_EQ(ReadReply(wire, &reply), ReadResult::kFrame);
+  ASSERT_EQ(ReadReply(*wire, &reply), ReadResult::kFrame);
   EXPECT_EQ(reply.header.opcode, Opcode::kError);
   EXPECT_EQ(reply.header.status,
             static_cast<std::uint8_t>(Status::kBadRequest));
-  EXPECT_EQ(ReadReply(wire, &reply), ReadResult::kEof);  // hung up
+  EXPECT_EQ(ReadReply(*wire, &reply), ReadResult::kEof);  // hung up
 }
 
 TEST(ServeServerTest, UnknownOpcodeIsRejected) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_opcode", 38);
-  LoopbackServer server(rig.router);
-  Transport& wire = server.client_end();
+  TestServer server(*rig.router);
+  const auto wire = server.Connect();
+  ASSERT_NE(wire, nullptr);
   std::string header;
   header.append(kFrameMagic, 4);
   const std::uint16_t version = kProtocolVersion;
@@ -282,68 +259,50 @@ TEST(ServeServerTest, UnknownOpcodeIsRejected) {
   header.push_back('\0');
   const std::uint32_t zero = 0;
   header.append(reinterpret_cast<const char*>(&zero), 4);
-  ASSERT_TRUE(wire.WriteAll(header.data(), header.size()));
+  ASSERT_TRUE(wire->WriteAll(header.data(), header.size()));
   Frame reply;
-  ASSERT_EQ(ReadReply(wire, &reply), ReadResult::kFrame);
+  ASSERT_EQ(ReadReply(*wire, &reply), ReadResult::kFrame);
   EXPECT_EQ(reply.header.opcode, Opcode::kError);
-  EXPECT_EQ(ReadReply(wire, &reply), ReadResult::kEof);
+  EXPECT_EQ(ReadReply(*wire, &reply), ReadResult::kEof);
 }
 
 TEST(ServeServerTest, VersionMismatchIsRejected) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_version", 39);
-  LoopbackServer server(rig.router);
-  Transport& wire = server.client_end();
+  TestServer server(*rig.router);
+  const auto wire = server.Connect();
+  ASSERT_NE(wire, nullptr);
   std::string body;
   ASSERT_TRUE(EncodeInfoRequest("s", &body));
   std::string frame;
   ASSERT_TRUE(EncodeFrame(Opcode::kInfo, 0, body, &frame));
   const std::uint16_t wrong = kProtocolVersion + 7;
   std::memcpy(frame.data() + 4, &wrong, sizeof(wrong));
-  ASSERT_TRUE(wire.WriteAll(frame.data(), frame.size()));
+  ASSERT_TRUE(wire->WriteAll(frame.data(), frame.size()));
   Frame reply;
-  ASSERT_EQ(ReadReply(wire, &reply), ReadResult::kFrame);
+  ASSERT_EQ(ReadReply(*wire, &reply), ReadResult::kFrame);
   EXPECT_EQ(reply.header.opcode, Opcode::kError);
   EXPECT_EQ(reply.header.status,
             static_cast<std::uint8_t>(Status::kBadRequest));
-  EXPECT_EQ(ReadReply(wire, &reply), ReadResult::kEof);
-}
-
-TEST(ServeServerTest, ServerNeverReadsPastDeclaredFrameLength) {
-  Rig rig = MakeRig("SUBSAMPLE", "srv_exact", 40);
-  LoopbackServer server(rig.router);
-  Transport& wire = server.client_end();
-  // A valid info request followed IMMEDIATELY by a second valid request
-  // in the same write: if the server over-read frame 1, frame 2's bytes
-  // would be consumed and its reply never arrive.
-  std::string body;
-  ASSERT_TRUE(EncodeInfoRequest("s", &body));
-  std::string two_frames;
-  ASSERT_TRUE(EncodeFrame(Opcode::kInfo, 0, body, &two_frames));
-  ASSERT_TRUE(EncodeFrame(Opcode::kInfo, 0, body, &two_frames));
-  ASSERT_TRUE(wire.WriteAll(two_frames.data(), two_frames.size()));
-  for (int i = 0; i < 2; ++i) {
-    Frame reply;
-    ASSERT_EQ(ReadReply(wire, &reply), ReadResult::kFrame) << i;
-    EXPECT_EQ(reply.header.opcode, Opcode::kInfoReply) << i;
-  }
+  EXPECT_EQ(ReadReply(*wire, &reply), ReadResult::kEof);
 }
 
 TEST(ServeServerTest, UndecodableBodyKeepsConnectionAlive) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_body", 41);
-  LoopbackServer server(rig.router);
-  Transport& wire = server.client_end();
+  TestServer server(*rig.router);
+  const auto wire = server.Connect();
+  ASSERT_NE(wire, nullptr);
   // Well-formed frame, garbage body: frame sync is intact, so the server
   // answers kError and keeps serving.
-  ASSERT_TRUE(WriteFrame(wire, Opcode::kEstimate, 0, "garbage"));
+  ASSERT_TRUE(WriteFrame(*wire, Opcode::kEstimate, 0, "garbage"));
   Frame reply;
-  ASSERT_EQ(ReadReply(wire, &reply), ReadResult::kFrame);
+  ASSERT_EQ(ReadReply(*wire, &reply), ReadResult::kFrame);
   EXPECT_EQ(reply.header.opcode, Opcode::kError);
   EXPECT_EQ(reply.header.status,
             static_cast<std::uint8_t>(Status::kBadRequest));
   std::string body;
   ASSERT_TRUE(EncodeInfoRequest("s", &body));
-  ASSERT_TRUE(WriteFrame(wire, Opcode::kInfo, 0, body));
-  ASSERT_EQ(ReadReply(wire, &reply), ReadResult::kFrame);
+  ASSERT_TRUE(WriteFrame(*wire, Opcode::kInfo, 0, body));
+  ASSERT_EQ(ReadReply(*wire, &reply), ReadResult::kFrame);
   EXPECT_EQ(reply.header.opcode, Opcode::kInfoReply);
 }
 
@@ -361,8 +320,8 @@ std::shared_ptr<const Engine> MakeSnapshot(std::size_t n, std::uint64_t seed) {
 TEST(ServeServerTest, RefreshReportsPublishedEpochs) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_refresh", 50);
   ASSERT_TRUE(rig.router->AddStream("live"));
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
 
   // Registered, nothing published: epoch 0.
   auto info = client.Refresh("live");
@@ -385,8 +344,8 @@ TEST(ServeServerTest, RefreshReportsPublishedEpochs) {
 TEST(ServeServerTest, SubscribeReturnsImmediatelyWhenSatisfied) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_sub_now", 52);
   rig.router->Publish("live", MakeSnapshot(200, 53), 200);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   // epoch 1 > min_epoch 0 already: no waiting, even with a long timeout.
   const auto info = client.Subscribe("live", 0, 60000);
   ASSERT_TRUE(info.has_value()) << client.last_error();
@@ -397,8 +356,8 @@ TEST(ServeServerTest, SubscribeReturnsImmediatelyWhenSatisfied) {
 TEST(ServeServerTest, SubscribeTimesOutWithFinalState) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_sub_to", 54);
   rig.router->Publish("live", MakeSnapshot(200, 55), 200);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   // Nothing will publish epoch 2: the reply still arrives, carrying the
   // unchanged state -- the client tells timeout from satisfied by
   // comparing epoch with min_epoch.
@@ -410,8 +369,8 @@ TEST(ServeServerTest, SubscribeTimesOutWithFinalState) {
 TEST(ServeServerTest, SubscribeWakesOnPublishFromAnotherThread) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_sub_wake", 56);
   ASSERT_TRUE(rig.router->AddStream("live"));
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
 
   std::thread publisher([&rig] {
     // Give the subscribe a moment to park on the condition variable.
@@ -433,35 +392,11 @@ TEST(ServeServerTest, SubscribeWakesOnPublishFromAnotherThread) {
 
 TEST(ServeServerTest, SubscribeUnknownNameGetsError) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_sub_unknown", 58);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   EXPECT_FALSE(client.Subscribe("nope", 0, 100).has_value());
   EXPECT_EQ(client.last_status(), Status::kUnknownSketch);
   EXPECT_TRUE(client.Info("s").has_value());  // connection survives
-}
-
-// --------------------------------------------------- TCP end to end
-
-TEST(ServeServerTest, TcpRoundTripMatchesDirect) {
-  Rig rig = MakeRig("SUBSAMPLE", "srv_tcp", 42);
-  TcpListener listener;
-  ASSERT_TRUE(listener.Listen(0));  // ephemeral port
-  std::thread server([&] {
-    auto transport = listener.Accept();
-    ASSERT_NE(transport, nullptr);
-    ServeConnection(*rig.router, *transport);
-  });
-  auto transport = TcpConnect(listener.port());
-  ASSERT_NE(transport, nullptr);
-  SketchClient client(std::move(transport));
-  const auto queries = SupportedQueries(rig.direct, 43);
-  const auto served = client.EstimateMany("s", queries);
-  ASSERT_TRUE(served.has_value()) << client.last_error();
-  std::vector<double> direct;
-  rig.direct.estimate_many(AsItemsets(queries, rig.direct.d()), &direct);
-  EXPECT_EQ(*served, direct);
-  client = SketchClient(std::unique_ptr<Transport>());  // hang up -> EOF
-  server.join();
 }
 
 }  // namespace

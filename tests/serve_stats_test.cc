@@ -1,4 +1,4 @@
-// The STATS opcode end to end over loopback: a known request load must
+// The STATS opcode end to end over loopback TCP: a known request load must
 // show up in the served registry EXACTLY -- request counters match the
 // issued counts, per-sketch query counters match the queries inside
 // those requests, and the latency histograms carry one sample per
@@ -10,13 +10,13 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/generators.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "serve_test_server.h"
 #include "util/random.h"
 
 namespace ifsketch::serve {
@@ -60,28 +60,6 @@ StatsRig MakeStatsRig(const std::string& stem, std::uint64_t seed) {
   return rig;
 }
 
-class LoopbackServer {
- public:
-  explicit LoopbackServer(std::shared_ptr<Router> router) {
-    auto [client_end, server_end] = LoopbackTransport::CreatePair();
-    client_end_ = std::move(client_end);
-    thread_ = std::thread(
-        [router = std::move(router), t = std::move(server_end)]() mutable {
-          ServeConnection(*router, *t);
-        });
-  }
-  ~LoopbackServer() {
-    client_end_.reset();
-    thread_.join();
-  }
-
-  std::unique_ptr<Transport> TakeClientEnd() { return std::move(client_end_); }
-
- private:
-  std::unique_ptr<Transport> client_end_;
-  std::thread thread_;
-};
-
 std::uint64_t CounterValue(const StatsReply& stats, const std::string& name) {
   for (const StatsCounter& c : stats.counters) {
     if (c.name == name) return c.value;
@@ -100,8 +78,8 @@ const StatsHistogram* FindHistogram(const StatsReply& stats,
 
 TEST(ServeStatsTest, CountersMatchIssuedRequestsExactly) {
   StatsRig rig = MakeStatsRig("stats_exact", 91);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
 
   constexpr int kEstimateCalls = 7;
   constexpr int kAreFrequentCalls = 3;
@@ -167,8 +145,8 @@ TEST(ServeStatsTest, CountersMatchIssuedRequestsExactly) {
 
 TEST(ServeStatsTest, StatsCountsItselfOnTheSecondCall) {
   StatsRig rig = MakeStatsRig("stats_self", 92);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   ASSERT_TRUE(client.Stats().has_value());
   const auto second = client.Stats();
   ASSERT_TRUE(second.has_value());
@@ -177,8 +155,9 @@ TEST(ServeStatsTest, StatsCountsItselfOnTheSecondCall) {
 
 TEST(ServeStatsTest, NonemptyStatsBodyIsRefused) {
   StatsRig rig = MakeStatsRig("stats_badbody", 93);
-  LoopbackServer server(rig.router);
-  auto transport = server.TakeClientEnd();
+  TestServer server(*rig.router);
+  auto transport = server.Connect();
+  ASSERT_NE(transport, nullptr);
   std::string frame;
   ASSERT_TRUE(EncodeFrame(Opcode::kStats, 0, "junk", &frame));
   ASSERT_TRUE(transport->WriteAll(frame.data(), frame.size()));
@@ -193,8 +172,8 @@ TEST(ServeStatsTest, NonemptyStatsBodyIsRefused) {
 
 TEST(ServeStatsTest, PodGaugesAndEpochAppearInStats) {
   StatsRig rig = MakeStatsRig("stats_gauges", 94);
-  LoopbackServer server(rig.router);
-  SketchClient client(server.TakeClientEnd());
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
   // First request faults the engine in (a load); the second finds it
   // resident (a hit).
   ASSERT_TRUE(client.EstimateMany("s", {{0}}).has_value());

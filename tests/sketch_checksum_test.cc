@@ -1,10 +1,9 @@
-// The IFSK v2 integrity trailer and crash-safe persistence (PR 10):
-// both parsers -- the copying stream reader and the zero-copy mapped
-// validator -- must accept exactly the same checksummed inputs, detect
-// every single-byte corruption a checksummed file can suffer, and keep
-// reading trailer-less v2 and legacy v1 files forever. Plus the
-// WriteFileAtomic crash matrix: a save killed at any byte leaves the
-// old file or the new one, never a hybrid.
+// The IFSK v2 integrity trailer and crash-safe persistence (PR 10): the
+// image parser must detect every single-byte corruption a checksummed
+// file can suffer, name the reason, and keep reading trailer-less v2 and
+// legacy v1 files forever. Plus the WriteFileAtomic crash matrix: a save
+// killed at any byte leaves the old file or the new one, never a
+// hybrid.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +22,7 @@
 #include "sketch/subsample.h"
 #include "util/crc32c.h"
 #include "util/durable.h"
+#include "util/mapped_file.h"
 #include "util/random.h"
 
 namespace ifsketch::sketch {
@@ -50,36 +51,12 @@ std::string Serialize(const SketchFile& file, std::uint16_t version,
   return out.str();
 }
 
-/// Parses `bytes` through the copying stream reader.
-std::optional<SketchFile> StreamParse(const std::string& bytes,
-                                      SketchError* error = nullptr) {
-  std::istringstream in(bytes, std::ios::binary);
-  return ReadSketch(in, error);
-}
-
-/// A zero-copy parse together with the aligned buffer its views borrow:
-/// the buffer lives exactly as long as the view, so reading the view
-/// after ImageParse returns stays valid. (Moving the vector keeps its
-/// heap words in place.)
-struct ParsedImage {
-  std::vector<std::uint64_t> words;
-  std::optional<SketchView> view;
-
-  bool has_value() const { return view.has_value(); }
-  const SketchView* operator->() const { return &*view; }
-};
-
-/// Parses `bytes` through the zero-copy mapped validator (needs 8-byte
-/// alignment, like a real mapping).
-ParsedImage ImageParse(const std::string& bytes,
-                       SketchError* error = nullptr) {
-  ParsedImage parsed;
-  parsed.words.resize((bytes.size() + 7) / 8);
-  std::memcpy(parsed.words.data(), bytes.data(), bytes.size());
-  parsed.view = ViewSketchImage(
-      reinterpret_cast<const unsigned char*>(parsed.words.data()),
-      bytes.size(), error);
-  return parsed;
+/// Parses `bytes` through the image parser, as every load path does.
+std::optional<SketchView> Parse(const std::string& bytes,
+                                SketchError* error = nullptr) {
+  return ViewSketchImage(util::MappedFile::FromBytes(bytes.data(),
+                                                     bytes.size()),
+                         error);
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -101,7 +78,7 @@ TEST(Crc32cTest, MatchesTheKnownAnswerAndComposes) {
   }
 }
 
-TEST(SketchChecksumTest, TrailerRoundTripsThroughBothParsers) {
+TEST(SketchChecksumTest, TrailerRoundTrips) {
   util::Rng rng(1);
   const SketchFile file = MakeFile(rng);
   const std::string plain =
@@ -114,15 +91,11 @@ TEST(SketchChecksumTest, TrailerRoundTripsThroughBothParsers) {
   EXPECT_EQ(checked.compare(plain.size(), 4, arena::kTrailerMagic, 4), 0);
 
   SketchError error;
-  const auto streamed = StreamParse(checked, &error);
-  ASSERT_TRUE(streamed.has_value()) << error.message;
-  EXPECT_EQ(streamed->summary, file.summary);
-  EXPECT_EQ(streamed->algorithm, file.algorithm);
-  EXPECT_EQ(streamed->n, file.n);
-
-  const auto viewed = ImageParse(checked, &error);
-  ASSERT_TRUE(viewed.has_value()) << error.message;
-  EXPECT_TRUE(viewed->file.summary == file.summary);
+  const auto parsed = Parse(checked, &error);
+  ASSERT_TRUE(parsed.has_value()) << error.message;
+  EXPECT_EQ(parsed->file.summary, file.summary);
+  EXPECT_EQ(parsed->file.algorithm, file.algorithm);
+  EXPECT_EQ(parsed->file.n, file.n);
 }
 
 TEST(SketchChecksumTest, TrailerlessV2AndLegacyV1StayReadable) {
@@ -130,14 +103,13 @@ TEST(SketchChecksumTest, TrailerlessV2AndLegacyV1StayReadable) {
   const SketchFile file = MakeFile(rng);
   const std::string v2 =
       Serialize(file, arena::kVersionArena, SketchChecksum::kNone);
-  EXPECT_TRUE(StreamParse(v2).has_value());
-  EXPECT_TRUE(ImageParse(v2).has_value());
+  EXPECT_TRUE(Parse(v2).has_value());
 
   const std::string v1 =
       Serialize(file, arena::kVersionLegacy, SketchChecksum::kNone);
-  const auto back = StreamParse(v1);
+  const auto back = Parse(v1);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->summary, file.summary);
+  EXPECT_EQ(back->file.summary, file.summary);
 }
 
 // v1 has no trailer slot: a checksum request degrades to the plain v1
@@ -150,9 +122,8 @@ TEST(SketchChecksumTest, ChecksumRequestAtV1IsIgnored) {
 }
 
 // Flip a content byte that every structural validation still accepts (a
-// low mantissa bit of eps): only the checksum can catch it, and BOTH
-// parsers must.
-TEST(SketchChecksumTest, ContentCorruptionFailsBothParsers) {
+// low mantissa bit of eps): only the checksum can catch it.
+TEST(SketchChecksumTest, ContentCorruptionFailsTheChecksum) {
   util::Rng rng(4);
   const SketchFile file = MakeFile(rng);
   std::string bytes =
@@ -162,10 +133,7 @@ TEST(SketchChecksumTest, ContentCorruptionFailsBothParsers) {
   bytes[21] = static_cast<char>(bytes[21] ^ 0x01);
 
   SketchError error;
-  EXPECT_FALSE(StreamParse(bytes, &error).has_value());
-  EXPECT_NE(error.message.find("checksum mismatch"), std::string::npos)
-      << error.message;
-  EXPECT_FALSE(ImageParse(bytes, &error).has_value());
+  EXPECT_FALSE(Parse(bytes, &error).has_value());
   EXPECT_NE(error.message.find("checksum mismatch"), std::string::npos)
       << error.message;
 
@@ -174,11 +142,10 @@ TEST(SketchChecksumTest, ContentCorruptionFailsBothParsers) {
   std::string unchecked =
       Serialize(file, arena::kVersionArena, SketchChecksum::kNone);
   unchecked[21] = static_cast<char>(unchecked[21] ^ 0x01);
-  EXPECT_TRUE(StreamParse(unchecked).has_value());
-  EXPECT_TRUE(ImageParse(unchecked).has_value());
+  EXPECT_TRUE(Parse(unchecked).has_value());
 }
 
-TEST(SketchChecksumTest, MangledTrailerFailsBothParsersWithAReason) {
+TEST(SketchChecksumTest, MangledTrailerFailsWithAReason) {
   util::Rng rng(5);
   const SketchFile file = MakeFile(rng);
   const std::string good =
@@ -202,10 +169,7 @@ TEST(SketchChecksumTest, MangledTrailerFailsBothParsersWithAReason) {
     ASSERT_NE(bytes[c.at], c.value);  // the overwrite really changes it
     bytes[c.at] = c.value;
     SketchError error;
-    EXPECT_FALSE(StreamParse(bytes, &error).has_value());
-    EXPECT_NE(error.message.find(c.reason), std::string::npos)
-        << error.message;
-    EXPECT_FALSE(ImageParse(bytes, &error).has_value());
+    EXPECT_FALSE(Parse(bytes, &error).has_value());
     EXPECT_NE(error.message.find(c.reason), std::string::npos)
         << error.message;
   }
@@ -221,31 +185,26 @@ TEST(SketchChecksumTest, TruncatedOrOversizedTailIsRejected) {
 
   // A partial trailer can never validate.
   for (const std::size_t drop : {1u, 8u, 15u}) {
-    std::string bytes = checked.substr(0, checked.size() - drop);
-    EXPECT_FALSE(StreamParse(bytes).has_value()) << drop;
-    EXPECT_FALSE(ImageParse(bytes).has_value()) << drop;
+    EXPECT_FALSE(Parse(checked.substr(0, checked.size() - drop)).has_value())
+        << drop;
   }
   // Bytes after a valid trailer are garbage, not data.
-  EXPECT_FALSE(StreamParse(checked + 'x').has_value());
-  EXPECT_FALSE(ImageParse(checked + 'x').has_value());
+  EXPECT_FALSE(Parse(checked + 'x').has_value());
   // So are stray bytes after a trailer-less file.
-  EXPECT_FALSE(StreamParse(plain + 'x').has_value());
-  EXPECT_FALSE(ImageParse(plain + 'x').has_value());
+  EXPECT_FALSE(Parse(plain + 'x').has_value());
   // But shearing the trailer off entirely yields the (valid) pre-PR-10
   // framing: detection needs the trailer present or the caller tracking
   // expected sizes, exactly the documented contract.
-  const std::string sheared =
-      checked.substr(0, checked.size() - arena::kTrailerBytes);
-  EXPECT_TRUE(StreamParse(sheared).has_value());
-  EXPECT_TRUE(ImageParse(sheared).has_value());
+  EXPECT_TRUE(
+      Parse(checked.substr(0, checked.size() - arena::kTrailerBytes))
+          .has_value());
 }
 
-// Mutant fuzz over the checksummed bytes: the two parsers must agree on
-// every mutant (the shared-acceptance invariant sketch_view_test
-// enforces for trailer-less files, extended to trailers) and never
-// crash. Content mutations must never be accepted at full length --
-// only a mutation that exactly removes the trailer can survive.
-TEST(SketchChecksumTest, CheckedMutantsKeepParsersInAgreement) {
+// Mutant fuzz over the checksummed bytes: the parser must never crash,
+// whatever it accepts must re-serialize and re-parse to the same file,
+// and content mutations must never be accepted at full length -- only a
+// mutation that exactly removes the trailer can survive.
+TEST(SketchChecksumTest, CheckedMutantsNeverCrashAndRoundTripOrReject) {
   util::Rng rng(7);
   const SketchFile file = MakeFile(rng);
   const std::string good =
@@ -265,14 +224,19 @@ TEST(SketchChecksumTest, CheckedMutantsKeepParsersInAgreement) {
       bytes[at] = static_cast<char>(
           bytes[at] ^ static_cast<char>(1 + fuzz.UniformInt(255)));
     }
-    const bool stream_ok = StreamParse(bytes).has_value();
-    const bool image_ok = ImageParse(bytes).has_value();
-    EXPECT_EQ(stream_ok, image_ok) << "parsers disagree on a mutant";
-    if (stream_ok) {
-      ++accepted;
-      EXPECT_LT(bytes.size(), good.size())
-          << "a full-length corruption slipped past the checksum";
-    }
+    const auto parsed = Parse(bytes);
+    if (!parsed.has_value()) continue;
+    ++accepted;
+    EXPECT_LT(bytes.size(), good.size())
+        << "a full-length corruption slipped past the checksum";
+    const SketchFile& got = parsed->file;
+    const auto again =
+        Parse(Serialize(got, got.version, SketchChecksum::kNone));
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->file.summary, got.summary);
+    EXPECT_EQ(again->file.algorithm, got.algorithm);
+    EXPECT_EQ(again->file.n, got.n);
+    EXPECT_EQ(again->file.d, got.d);
   }
   // Only trailer-shearing truncations may survive; spot-check the rate
   // is tiny rather than silently vacuous.
@@ -349,7 +313,8 @@ TEST(SketchChecksumTest, SaveSketchFileEmitsAVerifiableTrailer) {
   const auto loaded = LoadSketchFile(checked_path, &error);
   ASSERT_TRUE(loaded.has_value()) << error.message;
   EXPECT_EQ(loaded->summary, file.summary);
-  const auto viewed = ViewSketchFile(checked_path, &error);
+  const auto viewed =
+      ViewSketchImage(util::MappedFile::Open(checked_path), &error);
   ASSERT_TRUE(viewed.has_value()) << error.message;
   EXPECT_TRUE(viewed->file.summary == file.summary);
 }

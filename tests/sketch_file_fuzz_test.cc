@@ -250,9 +250,10 @@ std::vector<std::string> ValidFrames() {
   return frames;
 }
 
-// Decodes a mutated frame buffer the way ServeConnection would: header
-// first, then -- only if the header validates and the declared body is
-// fully present -- the opcode's body decoder on exactly that many bytes.
+// Decodes a mutated frame buffer the way the server does: header first
+// (the reactor's FrameDecoder), then -- only if the header validates and
+// the declared body is fully present -- the opcode's body decoder on
+// exactly that many bytes (DispatchRequest).
 void DecodeLikeServer(const std::string& bytes) {
   using namespace serve;
   const auto header = DecodeFrameHeader(

@@ -1,12 +1,13 @@
 // The zero-copy mapped load path (util::MappedFile + sketch::SketchView
-// + Engine::Open's LoadMode) against the copying stream parser.
+// + Engine::Open's LoadMode) against the copied load path.
 //
-// The contract under test is the PR's acceptance bar: for EVERY
-// registered algorithm, a sketch opened through the mapped path answers
-// estimate_many / are_frequent / mine bit-identically to the same file
-// opened through the copying path; legacy v1 files keep loading (copied);
-// and the in-place image validator rejects malformed arenas with the
-// byte offset of the first bad field, never crashing on mutants.
+// The contract under test: for EVERY registered algorithm, a sketch
+// opened through the mapped path answers estimate_many / are_frequent /
+// mine bit-identically to the same file opened through the copied path
+// (which drops the column section and decodes the summary); legacy v1
+// files keep loading (copied); and the image parser rejects malformed
+// arenas with the byte offset of the first bad field, never crashing on
+// mutants, and accepts only what re-serializes to the same file.
 
 #include "sketch/sketch_view.h"
 
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,27 +77,20 @@ std::string SaveTemp(const Engine& engine, const std::string& stem) {
   return path;
 }
 
-/// The whole file as an aligned word buffer (so ViewSketchImage can run
-/// on mutated copies without a file per mutant).
-std::vector<std::uint64_t> ReadAligned(const std::string& path) {
+std::string ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open()) << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  std::vector<std::uint64_t> words((bytes.size() + 7) / 8, 0);
-  std::memcpy(words.data(), bytes.data(), bytes.size());
-  words.resize(words.size() + 1);  // keep size() separate from capacity
-  words.back() = bytes.size();     // stash the byte size past the image
-  return words;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
-const unsigned char* ImageData(const std::vector<std::uint64_t>& image) {
-  return reinterpret_cast<const unsigned char*>(image.data());
-}
-
-std::size_t ImageSize(const std::vector<std::uint64_t>& image) {
-  return static_cast<std::size_t>(image.back());
+/// Runs the image parser over the first `size` bytes of `bytes`.
+std::optional<sketch::SketchView> ViewBytes(const std::string& bytes,
+                                            std::size_t size,
+                                            sketch::SketchError* error =
+                                                nullptr) {
+  return sketch::ViewSketchImage(
+      util::MappedFile::FromBytes(bytes.data(), size), error);
 }
 
 // ---------------------------------------------------------------------
@@ -295,77 +291,75 @@ class ArenaImageTest : public testing::Test {
     auto built = Engine::Build(db, "SUBSAMPLE", TestParams(), rng);
     ASSERT_TRUE(built.has_value());
     path_ = SaveTemp(*built, "arena_image");
-    image_ = ReadAligned(path_);
-    ASSERT_TRUE(
-        sketch::ViewSketchImage(ImageData(image_), ImageSize(image_))
-            .has_value());
+    bytes_ = ReadBytes(path_);
+    ASSERT_TRUE(View().has_value());
   }
 
-  unsigned char* MutableBytes() {
-    return reinterpret_cast<unsigned char*>(image_.data());
+  std::optional<sketch::SketchView> View(
+      sketch::SketchError* error = nullptr) const {
+    return ViewBytes(bytes_, bytes_.size(), error);
   }
 
   std::string path_;
-  std::vector<std::uint64_t> image_;
+  std::string bytes_;
 };
 
 TEST_F(ArenaImageTest, RejectsTruncation) {
   sketch::SketchError error;
   for (const std::size_t keep : {0u, 3u, 5u, 40u, 64u, 128u}) {
-    ASSERT_LT(keep, ImageSize(image_));
-    EXPECT_FALSE(sketch::ViewSketchImage(ImageData(image_), keep, &error)
-                     .has_value())
-        << keep;
+    ASSERT_LT(keep, bytes_.size());
+    EXPECT_FALSE(ViewBytes(bytes_, keep, &error).has_value()) << keep;
   }
 }
 
-TEST_F(ArenaImageTest, RejectsLegacyVersionWithDistinctError) {
-  MutableBytes()[4] = 1;  // version u16 low byte
-  sketch::SketchError error;
+// The version field selects the payload rule: relabeled v1, the same
+// header reads the bytes after it as a byte-packed payload (owned bits,
+// no column section), and a mapped Engine::Open refuses such a file.
+TEST_F(ArenaImageTest, VersionFieldSelectsTheLegacyRule) {
+  bytes_[4] = 1;  // version u16 low byte
+  const auto view = View();
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->file.version, sketch::arena::kVersionLegacy);
+  EXPECT_FALSE(view->file.summary.is_view());
+  EXPECT_FALSE(view->columns.has_value());
+
+  const std::string path = testing::TempDir() + "/arena_image_as_v1.ifsk";
+  std::ofstream(path, std::ios::binary) << bytes_;
+  std::string error;
   EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
-  EXPECT_EQ(error.offset, 4u);
-  EXPECT_NE(error.message.find("v1"), std::string::npos);
+      Engine::Open(path, Engine::LoadMode::kMapped, &error).has_value());
+  EXPECT_NE(error.find("v1"), std::string::npos) << error;
 }
 
 TEST_F(ArenaImageTest, RejectsUnknownVersion) {
-  MutableBytes()[4] = 9;
+  bytes_[4] = 9;
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(View(&error).has_value());
   EXPECT_EQ(error.offset, 4u);
 }
 
 TEST_F(ArenaImageTest, RejectsTrailingGarbage) {
-  image_[image_.size() - 1] += 8;  // grow the recorded byte size
-  // (the extra byte reads from the stashed-size word -- in bounds)
+  bytes_.append(8, 'x');
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(View(&error).has_value());
   EXPECT_NE(error.message.find("section table"), std::string::npos);
 }
 
 // Regression: a bit count close enough to 2^64 that (bits+63)/64 wraps
 // to a tiny word count must be rejected at the bit-count field -- not
 // sail through the shape checks with a zero-word summary and crash the
-// word-image code (both parsers share the guard in arena_layout.h).
+// word-image code.
 TEST_F(ArenaImageTest, RejectsWordCountWrappingBitCount) {
   const std::size_t name_len = 9;  // "SUBSAMPLE"
   const std::size_t bits_at = 8 + name_len + 4 + 8 + 8 + 1 + 1 + 8 + 8;
   const std::uint64_t wrap_bits = 0xFFFFFFFFFFFFFFF7ull;  // 2^64 - 9
-  std::memcpy(MutableBytes() + bits_at, &wrap_bits, sizeof(wrap_bits));
+  std::memcpy(bytes_.data() + bits_at, &wrap_bits, sizeof(wrap_bits));
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(View(&error).has_value());
   EXPECT_EQ(error.offset, bits_at);
   EXPECT_NE(error.message.find("bit count"), std::string::npos);
 
-  std::istringstream in(std::string(
-      reinterpret_cast<const char*>(ImageData(image_)), ImageSize(image_)));
+  std::istringstream in(bytes_);
   EXPECT_FALSE(sketch::ReadSketch(in).has_value());
 }
 
@@ -374,59 +368,57 @@ TEST_F(ArenaImageTest, ReportsOffsetsForHeaderFieldErrors) {
   // the error must name its exact offset.
   const std::size_t name_len = 9;  // "SUBSAMPLE"
   const std::size_t scope_at = 8 + name_len + 4 + 8 + 8;
-  MutableBytes()[scope_at] = 7;
+  bytes_[scope_at] = 7;
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(View(&error).has_value());
   EXPECT_EQ(error.offset, scope_at);
   EXPECT_NE(error.message.find("scope"), std::string::npos);
 }
 
-// The image validator and the stream parser must accept EXACTLY the
-// same v2 byte strings (a mutant both see as v2 is accepted by both,
-// with the same summary, or rejected by both) -- and neither may crash
-// on any mutant (the mapped-path cousin of SketchFileFuzzTest). This
-// bidirectional assertion is what keeps the two independently-coded
-// validators from drifting apart.
-TEST_F(ArenaImageTest, MutantImagesNeverCrashAndAgreeWithStreamParser) {
+bool SameSketchFile(const sketch::SketchFile& a,
+                    const sketch::SketchFile& b) {
+  return a.algorithm == b.algorithm && a.params.k == b.params.k &&
+         a.params.eps == b.params.eps && a.params.delta == b.params.delta &&
+         a.params.scope == b.params.scope &&
+         a.params.answer == b.params.answer && a.n == b.n && a.d == b.d &&
+         a.version == b.version && a.summary == b.summary;
+}
+
+// The image parser must never crash on a mutant, and whatever it
+// accepts must re-serialize (at the version it was read as) and
+// re-parse to the same file -- a parser that "repairs" bytes into an
+// unstable value is treated as a bug (the mapped-path cousin of
+// SketchFileFuzzTest).
+TEST_F(ArenaImageTest, MutantImagesNeverCrashAndRoundTripOrReject) {
   util::Rng rng(20260733);
-  const std::size_t size = ImageSize(image_);
+  const std::size_t size = bytes_.size();
   std::size_t accepted = 0;
   constexpr std::size_t kMutants = 4000;
   for (std::size_t t = 0; t < kMutants; ++t) {
-    std::vector<std::uint64_t> mutant = image_;
-    auto* bytes = reinterpret_cast<unsigned char*>(mutant.data());
+    std::string mutant = bytes_;
     const std::size_t mutations = 1 + rng.UniformInt(4);
     for (std::size_t m = 0; m < mutations; ++m) {
       if (rng.UniformInt(2) == 0) {
-        bytes[rng.UniformInt(size)] ^=
-            static_cast<unsigned char>(1 << rng.UniformInt(8));
+        mutant[rng.UniformInt(size)] ^=
+            static_cast<char>(1 << rng.UniformInt(8));
       } else {
-        bytes[rng.UniformInt(size)] =
-            static_cast<unsigned char>(rng.UniformInt(256));
+        mutant[rng.UniformInt(size)] =
+            static_cast<char>(rng.UniformInt(256));
       }
     }
     const std::size_t mutant_size =
         rng.UniformInt(8) == 0 ? rng.UniformInt(size + 1) : size;
-    const auto view = sketch::ViewSketchImage(bytes, mutant_size);
-    std::istringstream in(
-        std::string(reinterpret_cast<const char*>(bytes), mutant_size));
-    const auto streamed = sketch::ReadSketch(in);
-    if (!view.has_value()) {
-      // A mutant that still reads as a v2 image must be rejected by the
-      // stream parser too (a flipped version byte downgrades it to v1,
-      // where the stream parser legitimately applies the legacy rules).
-      if (sketch::PeekSketchVersion(bytes, mutant_size) ==
-          sketch::arena::kVersionArena) {
-        ASSERT_FALSE(streamed.has_value()) << "mutant " << t;
-      }
-      continue;
-    }
+    const auto view = ViewBytes(mutant, mutant_size);
+    if (!view.has_value()) continue;  // clean rejection
     ++accepted;
-    ASSERT_TRUE(streamed.has_value()) << "mutant " << t;
-    ASSERT_EQ(streamed->summary, view->file.summary) << "mutant " << t;
-    ASSERT_EQ(streamed->algorithm, view->file.algorithm) << "mutant " << t;
+    std::ostringstream out(std::ios::binary);
+    ASSERT_TRUE(sketch::WriteSketch(out, view->file, view->file.version))
+        << "mutant " << t;
+    const std::string again = out.str();
+    const auto reparsed = ViewBytes(again, again.size());
+    ASSERT_TRUE(reparsed.has_value()) << "mutant " << t;
+    ASSERT_TRUE(SameSketchFile(view->file, reparsed->file))
+        << "mutant " << t;
   }
   // Payload-bit flips are valid files, so some mutants must survive.
   EXPECT_GT(accepted, 0u);

@@ -3,17 +3,19 @@
 //   ifsketch_fsck PATH [PATH ...]
 //
 // Each PATH is either an IFSK sketch file or a WAL directory (see
-// src/ingest/wal.h). Files are pushed through BOTH parsers -- the
-// copying stream parser and, for arena v2, the zero-copy mapped
-// validator -- so fsck accepts exactly what every load path accepts,
-// including the optional CRC32C integrity trailer. Directories get the
+// src/ingest/wal.h). Files are opened exactly as a server or the CLI
+// opens them: Engine::Open with LoadMode::kCopied and, for arena v2,
+// also kMapped. So fsck accepts exactly what every load path accepts --
+// the image parser's framing and optional CRC32C integrity trailer, the
+// producing algorithm's registration, and a summary payload of the size
+// that algorithm emits for the recorded shape. Directories get the
 // full WAL walk: checkpoint magic/CRC/decodability (the named algorithm
 // must exist and accept the saved builder state), segment chaining, and
 // every record frame; a torn tail in the last segment is recoverable by
 // design and only noted.
 //
 // Output: one "ok"/note line per healthy artifact to stdout, one
-// "path: byte N: reason" line per failure to stderr. Exit 0 when every
+// "path: [byte N: ]reason" line per failure to stderr. Exit 0 when every
 // PATH verified, 1 when anything is corrupt, 2 on usage errors --
 // scripts can gate a deploy on it.
 
@@ -23,9 +25,9 @@
 #include <fstream>
 #include <string>
 
+#include "engine.h"
 #include "ingest/wal.h"
 #include "sketch/sketch_file.h"
-#include "sketch/sketch_view.h"
 
 namespace {
 
@@ -53,35 +55,24 @@ bool HasTrailer(const std::string& path) {
          std::memcmp(magic, sketch::arena::kTrailerMagic, 4) == 0;
 }
 
-/// Both-parser verification of one sketch file. Returns true when every
-/// applicable load path accepts it.
+/// Verifies one sketch file through every load path that applies to it;
+/// a failure prints Engine::Open's diagnostic.
 bool VerifySketchFile(const std::string& path) {
-  sketch::SketchError error;
-  const auto file = sketch::LoadSketchFile(path, &error);
-  if (!file.has_value()) {
-    std::fprintf(stderr, "%s: byte %llu: %s\n", path.c_str(),
-                 static_cast<unsigned long long>(error.offset),
-                 error.message.c_str());
+  std::string error;
+  const auto engine = Engine::Open(path, Engine::LoadMode::kCopied, &error);
+  if (!engine.has_value()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return false;
   }
-  if (sketch::ResolveAlgorithm(*file) == nullptr) {
-    std::fprintf(stderr, "%s: byte 0: unknown producing algorithm \"%s\"\n",
-                 path.c_str(), file->algorithm.c_str());
+  if (engine->format_version() == sketch::arena::kVersionArena &&
+      !Engine::Open(path, Engine::LoadMode::kMapped, &error).has_value()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return false;
-  }
-  if (file->version == sketch::arena::kVersionArena) {
-    sketch::SketchError view_error;
-    if (!sketch::ViewSketchFile(path, &view_error).has_value()) {
-      std::fprintf(stderr, "%s: byte %llu: (mapped path) %s\n", path.c_str(),
-                   static_cast<unsigned long long>(view_error.offset),
-                   view_error.message.c_str());
-      return false;
-    }
   }
   std::printf("%s: ok (v%u, %s, %s, %zu-bit summary)\n", path.c_str(),
-              file->version, file->algorithm.c_str(),
+              engine->format_version(), engine->algorithm().c_str(),
               HasTrailer(path) ? "crc32c trailer" : "no checksum",
-              file->summary.size());
+              engine->summary_bits());
   return true;
 }
 
