@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +40,7 @@
 
 #include "data/generators.h"
 #include "engine.h"
+#include "scratch_dir.h"
 #include "ingest/ingest.h"
 #include "obs/metrics.h"
 #include "serve/pod.h"
@@ -136,6 +136,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The WAL directories live here, removed on every exit path.
+  const bench::ScratchDir scratch("micro_ingest_");
+  if (!scratch.ok()) {
+    std::fprintf(stderr, "error: cannot create a scratch directory\n");
+    return 1;
+  }
   util::Rng rng(71);
   const core::Database db =
       data::PowerLawBaskets(stream_rows, kColumns, 1.0, 0.5, 4, 3, 0.2, rng);
@@ -196,8 +202,7 @@ int main(int argc, char** argv) {
        {ingest::WalSyncPolicy::kOnSnapshot, ingest::WalSyncPolicy::kEveryN,
         ingest::WalSyncPolicy::kEveryRecord}) {
     const std::string wal_dir =
-        "micro_ingest_wal_" + std::string(ingest::WalSyncPolicyName(policy));
-    std::filesystem::remove_all(wal_dir);
+        scratch.File(std::string("wal_") + ingest::WalSyncPolicyName(policy));
     ingest::IngestOptions options = Options(stream_rows / 4);
     options.wal_dir = wal_dir;
     options.wal_sync = policy;
@@ -219,7 +224,6 @@ int main(int argc, char** argv) {
     rows.push_back({std::string("ingest_rows@wal_sync=") +
                         ingest::WalSyncPolicyName(policy),
                     2, stream_rows, ns});
-    std::filesystem::remove_all(wal_dir);
   }
   if (on_snapshot_ns > 1.2 * no_wal_ns) {
     std::fprintf(stderr,

@@ -1,7 +1,9 @@
 #include "core/column_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -12,8 +14,8 @@ namespace {
 // The Apriori sibling relation: `a` and `b` (ascending attribute lists)
 // have the same size and agree on all but their last attribute, so they
 // can share one (|a|-1)-prefix AND accumulator.
-bool SharesAprioriPrefix(const std::vector<std::size_t>& a,
-                         const std::vector<std::size_t>& b) {
+bool SharesAprioriPrefix(std::span<const std::uint32_t> a,
+                         std::span<const std::uint32_t> b) {
   return a.size() == b.size() && !a.empty() &&
          std::equal(a.begin(), a.end() - 1, b.begin());
 }
@@ -112,52 +114,58 @@ ColumnStore ColumnStore::FromRowMajorBits(const util::BitVector& bits,
 
 std::size_t ColumnStore::SupportCount(const Itemset& t) const {
   IFSKETCH_CHECK_EQ(t.universe(), columns_.size());
+  QueryBatch batch(t.universe());
+  batch.Add(t);
   std::size_t count = 0;
-  CountRange(&t, 1, &count);
+  CountRange(batch, 0, 1, &count);
   return count;
 }
 
-void ColumnStore::SupportCounts(const std::vector<Itemset>& ts,
+void ColumnStore::SupportCounts(const QueryBatch& batch,
                                 std::vector<std::size_t>* counts) const {
-  counts->resize(ts.size());
-  // Universe checks hoisted out of the counting kernel: one cheap
-  // pre-pass keeps the hot loop free of per-query validation.
-  for (const Itemset& t : ts) {
-    IFSKETCH_CHECK_EQ(t.universe(), columns_.size());
-  }
+  // The universe check is hoisted out of the counting kernel; the
+  // batch's own invariant keeps every id below it.
+  IFSKETCH_CHECK(batch.empty() || batch.universe() == columns_.size());
+  counts->resize(batch.size());
   std::size_t* out = counts->data();
   util::ThreadPool::Default().ParallelFor(
-      0, ts.size(), kQueryGrain,
-      [this, &ts, out](std::size_t first, std::size_t last) {
-        CountRange(ts.data() + first, last - first, out + first);
+      0, batch.size(), kQueryGrain,
+      [this, &batch, out](std::size_t first, std::size_t last) {
+        CountRange(batch, first, last, out);
       });
 }
 
-void ColumnStore::CountRange(const Itemset* ts, std::size_t count,
-                             std::size_t* counts) const {
+void ColumnStore::CountRange(const QueryBatch& batch, std::size_t first,
+                             std::size_t last, std::size_t* counts) const {
   // Chunk-local prefix accumulator: `prefix` is the AND of all but the
-  // last attribute of the query in `prefix_attrs` (empty = no cached
+  // last attribute of the query `prefix_attrs` (empty = no cached
   // prefix). Chunk boundaries only forgo a reuse opportunity; every
-  // path computes the exact same popcount.
+  // path computes the exact same popcount. The accumulator is sized at
+  // the chunk's first query of 3+ ids, sibling run or not, so what a
+  // chunk allocates depends on its query sizes alone.
   util::BitVector prefix;
-  std::vector<std::size_t> prefix_attrs;
-  std::vector<const util::BitVector*> operands;
-  std::vector<std::size_t> attrs;
-  std::vector<std::size_t> next_attrs;
-  if (count > 0) attrs = ts[0].Attributes();
-  for (std::size_t q = 0; q < count; ++q) {
-    const bool has_next = q + 1 < count;
-    if (has_next) next_attrs = ts[q + 1].Attributes();
+  std::span<const std::uint32_t> prefix_attrs;
+  std::array<const util::BitVector*, 16> operands;
+  std::vector<const util::BitVector*> many_operands;  // queries of 17+ ids
+  for (std::size_t q = first; q < last; ++q) {
+    const std::span<const std::uint32_t> attrs = batch[q];
     if (attrs.empty()) {
       counts[q] = n_;
-    } else if (attrs.size() == 1) {
+      continue;
+    }
+    if (attrs.size() == 1) {
       counts[q] = columns_[attrs[0]].Count();
-    } else if (attrs.size() == 2) {
+      continue;
+    }
+    if (attrs.size() == 2) {
       counts[q] = columns_[attrs[0]].AndCount(columns_[attrs[1]]);
-    } else if (SharesAprioriPrefix(prefix_attrs, attrs)) {
+      continue;
+    }
+    if (prefix.size() != n_) prefix = util::BitVector(n_);
+    if (SharesAprioriPrefix(prefix_attrs, attrs)) {
       // Sibling of the query that built `prefix`: one fused AND-popcount.
       counts[q] = prefix.AndCount(columns_[attrs.back()]);
-    } else if (has_next && SharesAprioriPrefix(attrs, next_attrs)) {
+    } else if (q + 1 < last && SharesAprioriPrefix(attrs, batch[q + 1])) {
       // Head of a sibling run: materialize the prefix once, then this
       // query and each sibling cost one column AND each.
       prefix = columns_[attrs[0]];
@@ -169,12 +177,17 @@ void ColumnStore::CountRange(const Itemset* ts, std::size_t count,
     } else {
       // Isolated query: fused multi-operand kernel, single pass, no
       // accumulator materialized.
-      operands.clear();
-      for (std::size_t a : attrs) operands.push_back(&columns_[a]);
-      counts[q] = util::BitVector::AndCountMany(operands);
-      prefix_attrs.clear();
+      const util::BitVector** ops = operands.data();
+      if (attrs.size() > operands.size()) {
+        many_operands.resize(attrs.size());
+        ops = many_operands.data();
+      }
+      for (std::size_t i = 0; i < attrs.size(); ++i) {
+        ops[i] = &columns_[attrs[i]];
+      }
+      counts[q] = util::BitVector::AndCountMany(ops, attrs.size());
+      prefix_attrs = {};
     }
-    attrs.swap(next_attrs);
   }
 }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/query_batch.h"
 
 namespace ifsketch::core {
 
@@ -95,11 +96,19 @@ class ColumnStore {
   /// Rows containing T, by ANDing T's columns.
   std::size_t SupportCount(const Itemset& t) const;
 
-  /// Batched SupportCount: counts[i] = SupportCount(ts[i]), bit-identical
-  /// to the scalar loop. Runs on the default thread pool and shares
+  /// Batched SupportCount: counts[i] = rows containing query i,
+  /// bit-identical to the scalar loop. Reads each query's attribute ids
+  /// straight from the batch, runs on the default thread pool and shares
   /// prefix accumulators across adjacent queries (see file comment).
-  void SupportCounts(const std::vector<Itemset>& ts,
+  /// Precondition: the batch is empty or its universe is num_columns().
+  void SupportCounts(const QueryBatch& batch,
                      std::vector<std::size_t>* counts) const;
+
+  /// Adapter: packs `ts` and counts it as above.
+  void SupportCounts(const std::vector<Itemset>& ts,
+                     std::vector<std::size_t>* counts) const {
+    SupportCounts(QueryBatch::FromItemsets(ts), counts);
+  }
 
   /// f_T(D), identical to Database::Frequency on the source data.
   double Frequency(const Itemset& t) const;
@@ -110,11 +119,11 @@ class ColumnStore {
   }
 
  private:
-  // Serial kernel behind SupportCount(s): answers ts[0..count) into
-  // counts[0..count). Chunk-local state only, so chunks can run
-  // concurrently.
-  void CountRange(const Itemset* ts, std::size_t count,
-                  std::size_t* counts) const;
+  // Serial kernel behind SupportCount(s): answers queries [first, last)
+  // of `batch` into counts[first..last). Chunk-local state only, so
+  // chunks can run concurrently.
+  void CountRange(const QueryBatch& batch, std::size_t first,
+                  std::size_t last, std::size_t* counts) const;
 
   std::size_t n_;
   std::vector<util::BitVector> columns_;

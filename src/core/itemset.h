@@ -40,6 +40,9 @@ class Itemset {
   /// Adds attribute i.
   void Add(std::size_t i) { indicator_.Set(i, true); }
 
+  /// Removes every attribute (the empty itemset, same universe).
+  void Clear() { indicator_.Clear(); }
+
   /// Ascending attribute indices.
   std::vector<std::size_t> Attributes() const { return indicator_.SetBits(); }
 

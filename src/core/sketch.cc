@@ -40,41 +40,45 @@ const char* ToString(Answer answer) {
   return "?";
 }
 
-void FrequencyEstimator::EstimateMany(const std::vector<Itemset>& ts,
+void FrequencyEstimator::EstimateMany(const QueryBatch& batch,
                                       std::vector<double>* answers) const {
-  answers->resize(ts.size());
+  answers->resize(batch.size());
   double* out = answers->data();
   util::ThreadPool::Default().ParallelFor(
-      0, ts.size(), kBatchGrain,
-      [this, &ts, out](std::size_t first, std::size_t last) {
+      0, batch.size(), kBatchGrain,
+      [this, &batch, out](std::size_t first, std::size_t last) {
+        Itemset scratch(batch.universe());
         for (std::size_t i = first; i < last; ++i) {
-          out[i] = EstimateFrequency(ts[i]);
+          batch.CopyTo(i, &scratch);
+          out[i] = EstimateFrequency(scratch);
         }
       });
 }
 
-void FrequencyIndicator::AreFrequent(const std::vector<Itemset>& ts,
+void FrequencyIndicator::AreFrequent(const QueryBatch& batch,
                                      std::vector<bool>* answers) const {
   // std::vector<bool> packs bits, so concurrent writes to distinct
   // indices race; collect into bytes and copy once at the end.
-  std::vector<char> bits(ts.size());
+  std::vector<char> bits(batch.size());
   char* out = bits.data();
   util::ThreadPool::Default().ParallelFor(
-      0, ts.size(), kBatchGrain,
-      [this, &ts, out](std::size_t first, std::size_t last) {
+      0, batch.size(), kBatchGrain,
+      [this, &batch, out](std::size_t first, std::size_t last) {
+        Itemset scratch(batch.universe());
         for (std::size_t i = first; i < last; ++i) {
-          out[i] = IsFrequent(ts[i]) ? 1 : 0;
+          batch.CopyTo(i, &scratch);
+          out[i] = IsFrequent(scratch) ? 1 : 0;
         }
       });
   answers->assign(bits.begin(), bits.end());
 }
 
-void ThresholdIndicator::AreFrequent(const std::vector<Itemset>& ts,
+void ThresholdIndicator::AreFrequent(const QueryBatch& batch,
                                      std::vector<bool>* answers) const {
   std::vector<double> estimates;
-  estimator_->EstimateMany(ts, &estimates);
-  answers->resize(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) {
+  estimator_->EstimateMany(batch, &estimates);
+  answers->resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     (*answers)[i] = estimates[i] >= threshold_;
   }
 }

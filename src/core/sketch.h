@@ -31,6 +31,18 @@
 // once at load time and answering each query as a popcount of ANDed
 // columns).
 //
+// Batched contract: the virtual batched methods take one flat
+// core::QueryBatch (query_batch.h) -- the form the server decodes a
+// request into -- and must answer query i of the batch exactly as the
+// scalar method answers the Itemset holding the same attribute ids. The
+// std::vector<Itemset> overloads are non-virtual adapters that pack the
+// vector into one batch and run the flat path, so both forms return the
+// same bits. Overrides read each query's ids straight from the batch
+// instead of building an Itemset per query; the default flat loops reuse
+// one scratch Itemset per chunk for the scalar calls.
+// Overriding the flat form hides the adapter in the derived class, so
+// overriders re-export it (`using FrequencyEstimator::EstimateMany;`).
+//
 // Threading contract: loaded views must be immutable -- every query
 // method is const and safe to call concurrently, with no lazily-built
 // mutable caches. The default EstimateMany/AreFrequent (and the
@@ -49,6 +61,7 @@
 #include "core/column_store.h"
 #include "core/database.h"
 #include "core/itemset.h"
+#include "core/query_batch.h"
 #include "util/bitvector.h"
 #include "util/random.h"
 
@@ -91,12 +104,18 @@ class FrequencyEstimator {
   /// Q(S, T): an approximation of f_T(D) in [0, 1].
   virtual double EstimateFrequency(const Itemset& t) const = 0;
 
-  /// Batched Q: answers every query in `ts`, writing answers[i] for ts[i].
-  /// Must return exactly the values EstimateFrequency would, query by
-  /// query; overrides only share work, never change answers. The default
-  /// is the scalar loop.
-  virtual void EstimateMany(const std::vector<Itemset>& ts,
+  /// Batched Q: answers every query of `batch`, writing answers[i] for
+  /// query i. Must return exactly the values EstimateFrequency would,
+  /// query by query; overrides only share work, never change answers.
+  /// The default is the scalar loop over one scratch Itemset per chunk.
+  virtual void EstimateMany(const QueryBatch& batch,
                             std::vector<double>* answers) const;
+
+  /// Adapter: packs `ts` into one batch and answers it as above.
+  void EstimateMany(const std::vector<Itemset>& ts,
+                    std::vector<double>* answers) const {
+    EstimateMany(QueryBatch::FromItemsets(ts), answers);
+  }
 };
 
 /// Query-side view of an indicator summary (Definitions 1 and 3).
@@ -107,10 +126,16 @@ class FrequencyIndicator {
   /// Q(S, T): true asserts f_T > eps/2; false asserts f_T <= eps.
   virtual bool IsFrequent(const Itemset& t) const = 0;
 
-  /// Batched Q: answers[i] = IsFrequent(ts[i]), with the same
+  /// Batched Q: answers[i] = IsFrequent(query i), with the same
   /// answers-identical contract as FrequencyEstimator::EstimateMany.
-  virtual void AreFrequent(const std::vector<Itemset>& ts,
+  virtual void AreFrequent(const QueryBatch& batch,
                            std::vector<bool>* answers) const;
+
+  /// Adapter: packs `ts` into one batch and answers it as above.
+  void AreFrequent(const std::vector<Itemset>& ts,
+                   std::vector<bool>* answers) const {
+    AreFrequent(QueryBatch::FromItemsets(ts), answers);
+  }
 };
 
 /// Adapts an estimator into an indicator by thresholding at 3eps/4
@@ -125,8 +150,9 @@ class ThresholdIndicator : public FrequencyIndicator {
     return estimator_->EstimateFrequency(t) >= threshold_;
   }
 
+  using FrequencyIndicator::AreFrequent;
   /// Forwards to the wrapped estimator's batched path, then thresholds.
-  void AreFrequent(const std::vector<Itemset>& ts,
+  void AreFrequent(const QueryBatch& batch,
                    std::vector<bool>* answers) const override;
 
  private:

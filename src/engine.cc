@@ -183,22 +183,43 @@ bool Engine::supports_query_size(std::size_t size) const {
   return algo_->SupportsQuerySize(size, file_.params);
 }
 
+bool Engine::supports_query_sizes(const core::QueryBatch& batch) const {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::size_t size = batch.query_size(i);
+    if (i > 0 && size == batch.query_size(i - 1)) continue;
+    if (!supports_query_size(size)) return false;
+  }
+  return true;
+}
+
 double Engine::estimate(const core::Itemset& t) const {
   return estimator().EstimateFrequency(t);
 }
 
+void Engine::estimate_many(const core::QueryBatch& batch,
+                           std::vector<double>* answers) const {
+  IFSKETCH_CHECK(batch.empty() || batch.universe() == file_.d);
+  estimator().EstimateMany(batch, answers);
+}
+
 void Engine::estimate_many(const std::vector<core::Itemset>& ts,
                            std::vector<double>* answers) const {
-  estimator().EstimateMany(ts, answers);
+  estimate_many(core::QueryBatch::FromItemsets(ts), answers);
 }
 
 bool Engine::is_frequent(const core::Itemset& t) const {
   return indicator().IsFrequent(t);
 }
 
+void Engine::are_frequent(const core::QueryBatch& batch,
+                          std::vector<bool>* answers) const {
+  IFSKETCH_CHECK(batch.empty() || batch.universe() == file_.d);
+  indicator().AreFrequent(batch, answers);
+}
+
 void Engine::are_frequent(const std::vector<core::Itemset>& ts,
                           std::vector<bool>* answers) const {
-  indicator().AreFrequent(ts, answers);
+  are_frequent(core::QueryBatch::FromItemsets(ts), answers);
 }
 
 std::vector<mining::FrequentItemset> Engine::mine(

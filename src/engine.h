@@ -17,8 +17,9 @@
 // Open re-resolves the name stored in the file, and the query methods
 // lazily materialize the estimator/indicator views. estimate_many routes
 // through the batched query path (core::FrequencyEstimator::EstimateMany)
-// which shares column scans across the batch; mine() batches each Apriori
-// level the same way.
+// which shares column scans across the batch; it takes one flat
+// core::QueryBatch, and its std::vector<Itemset> overload packs the
+// vector into one. mine() batches each Apriori level the same way.
 //
 // Load paths: every LoadMode reads the file into one aligned image and
 // runs the one image parser (sketch/sketch_view.h), so every mode
@@ -59,6 +60,7 @@
 
 #include "core/database.h"
 #include "core/itemset.h"
+#include "core/query_batch.h"
 #include "core/sketch.h"
 #include "mining/apriori.h"
 #include "sketch/envelope.h"
@@ -152,20 +154,33 @@ class Engine {
   /// answer), so gate on this for user-supplied query sizes.
   bool supports_query_size(std::size_t size) const;
 
+  /// supports_query_size for every query of `batch`, asked once per run
+  /// of equal sizes rather than once per query.
+  bool supports_query_sizes(const core::QueryBatch& batch) const;
+
   /// Q(S, T) as a frequency estimate. Requires an estimator-flavored
   /// sketch (params().answer == Answer::kEstimator) and a supported
   /// query size.
   double estimate(const core::Itemset& t) const;
 
-  /// Batched estimate; answers[i] corresponds to ts[i]. Same requirement
-  /// and bit-identical to per-query estimate() calls.
+  /// Batched estimate over a flat batch; answers[i] corresponds to query
+  /// i. Same requirement, bit-identical to per-query estimate() calls.
+  /// Precondition: the batch is empty or its universe is d().
+  void estimate_many(const core::QueryBatch& batch,
+                     std::vector<double>* answers) const;
+
+  /// Adapter: packs `ts` once and runs the flat estimate_many.
   void estimate_many(const std::vector<core::Itemset>& ts,
                      std::vector<double>* answers) const;
 
   /// Q(S, T) as a threshold bit (works for both answer flavors).
   bool is_frequent(const core::Itemset& t) const;
 
-  /// Batched is_frequent.
+  /// Batched is_frequent over a flat batch (same precondition).
+  void are_frequent(const core::QueryBatch& batch,
+                    std::vector<bool>* answers) const;
+
+  /// Adapter: packs `ts` once and runs the flat are_frequent.
   void are_frequent(const std::vector<core::Itemset>& ts,
                     std::vector<bool>* answers) const;
 

@@ -14,13 +14,20 @@
 //
 // The stages, in request order:
 //
-//   kDecode   frame body decode + validation   (DispatchRequest)
+//   kDecode   frame body decode + validation   (DispatchRequest; two
+//             into one QueryBatch, then the    stamps that add up, one
+//             post-acquire range/size check    each side of kAcquire)
 //   kRoute    Route() span: placement, health  (Router; includes the
 //             selection, coalesce wait/lead    kernel for the leader
 //                                              of a fused batch)
-//   kAcquire  sketch open/mmap/evict           (SketchPod::Acquire)
+//   kAcquire  the replica walk + sketch        (Router::Acquire, which
+//             open/mmap/evict                  wraps SketchPod::Acquire)
 //   kKernel   the fused Engine call itself     (Router::RunFused)
 //   kEncode   reply body encode                (DispatchRequest)
+//
+// On the query path (estimate, are-frequent) every step of a successful
+// request runs inside one of these spans: decode, acquire, the check
+// (kDecode again), route, encode.
 //
 // Coalescing caveat: a fused batch executes on the leader's thread, so
 // kKernel (and the Stamp inside RunFused) lands on the leader's trace;

@@ -64,13 +64,19 @@ std::optional<Frame> SketchClient::RoundTrip(Opcode opcode,
   last_status_ = Status::kOk;
   last_failure_ = FailureKind::kNone;
   last_attempts_ = 0;
-  std::string wire;
-  if (!EncodeFrame(opcode, 0, body, &wire)) {
+  // Header and body go out as two spans of one gathering write, so the
+  // body is never copied behind a header.
+  char header[kFrameHeaderBytes];
+  if (body.size() > kMaxBodyBytes ||
+      !EncodeFrameHeader(opcode, 0, static_cast<std::uint32_t>(body.size()),
+                         header)) {
     // Local limit, nothing sent: the connection is still healthy.
     last_error_ = "request exceeds the frame size limit";
     last_failure_ = FailureKind::kLocal;
     return std::nullopt;
   }
+  const ConstBuffer wire[2] = {{header, kFrameHeaderBytes},
+                               {body.data(), body.size()}};
   const auto start = std::chrono::steady_clock::now();
   const int max_attempts = factory_ ? std::max(1, policy_.max_attempts) : 1;
   for (int attempt = 1;; ++attempt) {
@@ -81,7 +87,7 @@ std::optional<Frame> SketchClient::RoundTrip(Opcode opcode,
       last_failure_ = FailureKind::kTransport;
     } else {
       ApplyReadTimeout(start);
-      if (!transport_->WriteAll(wire.data(), wire.size())) {
+      if (!transport_->WritevAll(wire, 2)) {
         Poison("send failed (peer closed the connection)");
       } else {
         Frame reply;
@@ -125,11 +131,8 @@ std::optional<Frame> SketchClient::RoundTrip(Opcode opcode,
 std::optional<std::vector<double>> SketchClient::EstimateMany(
     const std::string& sketch,
     const std::vector<std::vector<std::uint32_t>>& queries) {
-  QueryRequest request;
-  request.sketch = sketch;
-  request.queries = queries;
   std::string body;
-  if (!EncodeQueryRequest(request, &body)) {
+  if (!EncodeQueryRequest(QueryRequest{sketch, queries}, &body)) {
     last_error_ = "request exceeds protocol limits";
     last_status_ = Status::kOk;  // local failure, not a server verdict
     last_failure_ = FailureKind::kLocal;
@@ -168,10 +171,8 @@ std::optional<std::vector<double>> SketchClient::EstimateManyPipelined(
   std::size_t begin = 0;
   for (std::size_t i = 0; i < frames; ++i) {
     const std::size_t count = per + (i < extra ? 1 : 0);
-    QueryRequest request;
-    request.sketch = sketch;
-    request.queries.assign(queries.begin() + begin,
-                           queries.begin() + begin + count);
+    const QueryRequest request{
+        sketch, std::span(queries).subspan(begin, count)};
     std::string body;
     if (!EncodeQueryRequest(request, &body) ||
         !EncodeFrame(Opcode::kEstimate, 0, body, &wire[i])) {
@@ -264,11 +265,8 @@ std::optional<std::vector<double>> SketchClient::EstimateManyPipelined(
 std::optional<std::vector<bool>> SketchClient::AreFrequent(
     const std::string& sketch,
     const std::vector<std::vector<std::uint32_t>>& queries) {
-  QueryRequest request;
-  request.sketch = sketch;
-  request.queries = queries;
   std::string body;
-  if (!EncodeQueryRequest(request, &body)) {
+  if (!EncodeQueryRequest(QueryRequest{sketch, queries}, &body)) {
     last_error_ = "request exceeds protocol limits";
     last_status_ = Status::kOk;  // local failure, not a server verdict
     last_failure_ = FailureKind::kLocal;

@@ -169,7 +169,8 @@ class SketchClient {
   Status last_status() const { return last_status_; }
 
  private:
-  /// Sends `body` under `opcode` and reads one reply, which must be
+  /// Sends the frame header and `body` as two spans of one gathering
+  /// write (no staging copy) and reads one reply, which must be
   /// `expected_reply` or kError; retries transport failures per policy
   /// when a factory is available. nullopt (with last_* set) else.
   std::optional<Frame> RoundTrip(Opcode opcode, const std::string& body,

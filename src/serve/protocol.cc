@@ -38,6 +38,14 @@ class Reader {
     return true;
   }
 
+  /// The next `n` bytes, or null (consuming nothing) when fewer remain.
+  const char* Take(std::size_t n) {
+    if (data_.size() - pos_ < n) return nullptr;
+    const char* bytes = data_.data() + pos_;
+    pos_ += n;
+    return bytes;
+  }
+
   bool Done() const { return pos_ == data_.size(); }
 
   std::size_t Remaining() const { return data_.size() - pos_; }
@@ -97,32 +105,53 @@ bool EncodeFrameHeader(Opcode opcode, std::uint8_t status,
 bool EncodeQueryRequest(const QueryRequest& request, std::string* body) {
   if (request.sketch.size() > 0xffff) return false;
   if (request.queries.size() > kMaxQueriesPerRequest) return false;
-  PutString(body, request.sketch);
-  PutRaw<std::uint32_t>(body,
-                        static_cast<std::uint32_t>(request.queries.size()));
+  // Size first, so a refused query leaves `body` untouched and the write
+  // pass never reallocates.
+  std::size_t bytes = 2 + request.sketch.size() + 4;
   for (const auto& attrs : request.queries) {
     if (attrs.size() > 0xffff) return false;
-    PutRaw<std::uint16_t>(body, static_cast<std::uint16_t>(attrs.size()));
-    for (std::uint32_t attr : attrs) PutRaw<std::uint32_t>(body, attr);
+    bytes += 2 + 4 * attrs.size();
+  }
+  const std::size_t start = body->size();
+  body->resize(start + bytes);
+  char* out = body->data() + start;
+  const auto put = [&out](const void* data, std::size_t size) {
+    std::memcpy(out, data, size);
+    out += size;
+  };
+  const auto name_len = static_cast<std::uint16_t>(request.sketch.size());
+  put(&name_len, 2);
+  put(request.sketch.data(), request.sketch.size());
+  const auto count = static_cast<std::uint32_t>(request.queries.size());
+  put(&count, 4);
+  for (const auto& attrs : request.queries) {
+    const auto size = static_cast<std::uint16_t>(attrs.size());
+    put(&size, 2);
+    for (const std::uint32_t attr : attrs) put(&attr, 4);
   }
   return true;
 }
 
 void EncodeEstimateReply(const std::vector<double>& answers,
                          std::string* body) {
+  body->reserve(body->size() + 4 + answers.size() * sizeof(double));
   PutRaw<std::uint32_t>(body, static_cast<std::uint32_t>(answers.size()));
-  for (double a : answers) PutRaw<double>(body, a);
+  if (answers.empty()) return;
+  body->append(reinterpret_cast<const char*>(answers.data()),
+               answers.size() * sizeof(double));
 }
 
 void EncodeAreFrequentReply(const std::vector<bool>& answers,
                             std::string* body) {
   PutRaw<std::uint32_t>(body, static_cast<std::uint32_t>(answers.size()));
-  // Pack bits LSB-first, the same order the IFSK payload uses.
-  std::string bytes((answers.size() + 7) / 8, '\0');
+  // Pack bits LSB-first, the same order the IFSK payload uses, straight
+  // into the body; padding bits stay clear.
+  const std::size_t start = body->size();
+  body->resize(start + (answers.size() + 7) / 8, '\0');
+  char* bytes = body->data() + start;
   for (std::size_t i = 0; i < answers.size(); ++i) {
     if (answers[i]) bytes[i / 8] |= static_cast<char>(1 << (i % 8));
   }
-  body->append(bytes);
 }
 
 bool EncodeInfoRequest(std::string_view sketch, std::string* body) {
@@ -244,9 +273,9 @@ std::optional<FrameHeader> DecodeFrameHeader(const char* data,
   return header;
 }
 
-std::optional<QueryRequest> DecodeQueryRequest(std::string_view body) {
+std::optional<QueryBatchRequest> DecodeQueryBatch(std::string_view body) {
   Reader in(body);
-  QueryRequest request;
+  QueryBatchRequest request;
   std::uint32_t count = 0;
   if (!in.GetString(request.sketch) || !in.Get(count)) return std::nullopt;
   if (count > kMaxQueriesPerRequest) return std::nullopt;
@@ -254,17 +283,37 @@ std::optional<QueryRequest> DecodeQueryRequest(std::string_view body) {
   // costs at least its u16 attribute count) before sizing anything from
   // it -- a tiny frame must not provoke a megabyte reserve.
   if (count > in.Remaining() / 2) return std::nullopt;
-  request.queries.reserve(count);
-  for (std::uint32_t q = 0; q < count; ++q) {
+  // One pass copies each query's ids into the batch, which stores them
+  // as its attribute set. The bytes after the counts bound the ids --
+  // exactly, for a well-formed body -- so the batch is sized once. A
+  // query that is cut short or would overrun that bound stops the copy,
+  // and the batch is dropped; so are bytes left over after the last
+  // query.
+  const char* next = in.Take(0);
+  const char* const end = body.data() + body.size();
+  std::size_t ids_left = (in.Remaining() - 2 * std::size_t{count}) / 4;
+  bool malformed = false;
+  request.batch = core::QueryBatch(core::QueryBatch::kAnyUniverse);
+  request.batch.Append(count, ids_left, [&](std::uint32_t* dst) {
     std::uint16_t attrs = 0;
-    if (!in.Get(attrs)) return std::nullopt;
-    std::vector<std::uint32_t> query(attrs);
-    for (std::uint16_t a = 0; a < attrs; ++a) {
-      if (!in.Get(query[a])) return std::nullopt;
+    if (malformed || end - next < 2) {
+      malformed = true;
+      return std::size_t{0};
     }
-    request.queries.push_back(std::move(query));
-  }
-  if (!in.Done()) return std::nullopt;
+    std::memcpy(&attrs, next, 2);
+    if (attrs > ids_left ||
+        static_cast<std::size_t>(end - next - 2) < 4 * std::size_t{attrs}) {
+      malformed = true;
+      return std::size_t{0};
+    }
+    next += 2;
+    for (std::uint16_t a = 0; a < attrs; ++a, next += 4) {
+      std::memcpy(dst + a, next, 4);
+    }
+    ids_left -= attrs;
+    return std::size_t{attrs};
+  });
+  if (malformed || next != end) return std::nullopt;
   return request;
 }
 
@@ -274,13 +323,10 @@ std::optional<std::vector<double>> DecodeEstimateReply(
   std::uint32_t count = 0;
   if (!in.Get(count) || count > kMaxQueriesPerRequest) return std::nullopt;
   // The body is exactly `count` raw doubles; check before allocating.
-  if (in.Remaining() != static_cast<std::size_t>(count) * sizeof(double)) {
-    return std::nullopt;
-  }
+  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(double);
+  if (in.Remaining() != bytes) return std::nullopt;
   std::vector<double> answers(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!in.Get(answers[i])) return std::nullopt;
-  }
+  if (count != 0) std::memcpy(answers.data(), in.Take(bytes), bytes);
   return answers;
 }
 
@@ -290,14 +336,18 @@ std::optional<std::vector<bool>> DecodeAreFrequentReply(
   std::uint32_t count = 0;
   if (!in.Get(count) || count > kMaxQueriesPerRequest) return std::nullopt;
   // The body is exactly the packed bit bytes; check before allocating.
-  if (in.Remaining() != (static_cast<std::size_t>(count) + 7) / 8) {
+  const std::size_t bytes = (static_cast<std::size_t>(count) + 7) / 8;
+  if (in.Remaining() != bytes) return std::nullopt;
+  const char* packed = in.Take(bytes);
+  // Bits past the last answer must be clear, or two bodies would decode
+  // to the same answers.
+  if (count % 8 != 0 &&
+      (static_cast<std::uint8_t>(packed[bytes - 1]) >> (count % 8)) != 0) {
     return std::nullopt;
   }
   std::vector<bool> answers(count);
-  std::uint8_t byte = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (i % 8 == 0 && !in.Get(byte)) return std::nullopt;
-    answers[i] = (byte >> (i % 8)) & 1;
+    answers[i] = (static_cast<std::uint8_t>(packed[i / 8]) >> (i % 8)) & 1;
   }
   return answers;
 }
@@ -384,7 +434,7 @@ std::optional<StatsReply> DecodeStatsReply(std::string_view body) {
 
   // Counters: each row costs at least its u16 name length + u64 value;
   // bound every declared count by the bytes actually present before
-  // sizing anything from it (the DecodeQueryRequest discipline).
+  // sizing anything from it (the DecodeQueryBatch discipline).
   if (!in.Get(count) || count > kMaxMetricsPerReply) return std::nullopt;
   if (count > in.Remaining() / (2 + 8)) return std::nullopt;
   reply.counters.reserve(count);

@@ -72,10 +72,23 @@
 // header field is checked (magic, version, known opcode, length cap)
 // before any body byte is read, a reader consumes exactly header.length
 // body bytes and never trusts a declared count without bounding it, and
-// a body must be fully consumed -- trailing bytes are a malformed frame.
-// Codec functions are pure buffer transforms with no transport
-// dependency; serve/transport.h adds ReadFrame/WriteFrame over a
-// Transport.
+// a body must be fully consumed -- trailing bytes (and set padding bits
+// after the last packed answer) are a malformed body, so two different
+// bodies never decode alike. Codec functions are pure buffer transforms
+// with no transport dependency; serve/transport.h adds
+// ReadFrame/WriteFrame over a Transport.
+//
+// Query batches cross the codec flat. The server's decoder,
+// DecodeQueryBatch, reads a kEstimate / kAreFrequent body in one pass
+// into a core::QueryBatch (two allocations however many queries) over
+// QueryBatch::kAnyUniverse; once the sketch is acquired the server
+// narrows it to the sketch's d (SetUniverse) and checks query sizes, and
+// that same batch is what the router and the column kernels read. Each
+// query is its attribute SET: ids that are not strictly ascending are
+// sorted and deduplicated on decode, so {5,3,5} answers as {3,5} --
+// exactly what an Itemset built from the same ids holds. The client
+// side, QueryRequest, borrows the caller's queries rather than copying
+// them, and EncodeQueryRequest sizes the body before writing it.
 //
 // Pipelining contract (PR 9, the event-loop server in serve/reactor.h):
 // a client may write any number of request frames back-to-back without
@@ -99,9 +112,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "core/query_batch.h"
 
 namespace ifsketch::serve {
 
@@ -169,11 +185,21 @@ struct Frame {
   std::string body;
 };
 
-/// One batched query request (kEstimate or kAreFrequent): the target
-/// sketch name and each query's ascending attribute indices.
+/// One batched query request (kEstimate or kAreFrequent) as a client
+/// encodes it: the target sketch name and each query's attribute indices
+/// (ascending by convention; the server reads each as a set). `queries`
+/// borrows the caller's vector, so a request must not outlive it.
 struct QueryRequest {
   std::string sketch;
-  std::vector<std::vector<std::uint32_t>> queries;
+  std::span<const std::vector<std::uint32_t>> queries;
+};
+
+/// A kEstimate / kAreFrequent body as the server decodes it: the target
+/// name and every query in one flat batch over kAnyUniverse (see the
+/// header comment).
+struct QueryBatchRequest {
+  std::string sketch;
+  core::QueryBatch batch;
 };
 
 /// kRefreshReply / kSubscribeReply payload: which snapshot the sketch is
@@ -260,10 +286,12 @@ bool EncodeFrame(Opcode opcode, std::uint8_t status, std::string_view body,
 bool EncodeFrameHeader(Opcode opcode, std::uint8_t status,
                        std::uint32_t body_length, char* out);
 
-/// Body encoders. EncodeQueryRequest returns false when the request
-/// exceeds protocol limits (name > 64 KiB, too many queries, a query
-/// with > 65535 attributes).
+/// Body encoders. EncodeQueryRequest returns false, appending nothing,
+/// when the request exceeds protocol limits (name > 64 KiB, too many
+/// queries, a query with > 65535 attributes); otherwise it sizes the body
+/// in one pass and writes it in a second.
 bool EncodeQueryRequest(const QueryRequest& request, std::string* body);
+/// The answers as one memcpy after the count.
 void EncodeEstimateReply(const std::vector<double>& answers,
                          std::string* body);
 void EncodeAreFrequentReply(const std::vector<bool>& answers,
@@ -298,8 +326,15 @@ std::optional<FrameHeader> DecodeFrameHeader(const char* data,
 
 /// Body decoders; each consumes the entire body and returns nullopt on
 /// truncation, limit violations, or trailing bytes.
-std::optional<QueryRequest> DecodeQueryRequest(std::string_view body);
+///
+/// DecodeQueryBatch is the server's query decoder: one validating pass
+/// that bounds the declared count by the bytes present, reserves the
+/// batch once from the body size, and stores each query as its sorted,
+/// deduplicated attribute set over QueryBatch::kAnyUniverse.
+std::optional<QueryBatchRequest> DecodeQueryBatch(std::string_view body);
+/// One memcpy of the doubles after the count check.
 std::optional<std::vector<double>> DecodeEstimateReply(std::string_view body);
+/// Rejects set padding bits after the last answer.
 std::optional<std::vector<bool>> DecodeAreFrequentReply(
     std::string_view body);
 std::optional<std::string> DecodeInfoRequest(std::string_view body);

@@ -309,31 +309,35 @@ std::shared_ptr<const Engine> Router::Acquire(const std::string& name,
 }
 
 RouteStatus Router::EstimateMany(const std::string& name,
-                                 const std::vector<core::Itemset>& ts,
+                                 const core::QueryBatch& batch,
                                  std::vector<double>* answers) {
-  return Route(name, nullptr, kNoPod, ts, answers, nullptr);
+  std::size_t pod = kNoPod;
+  auto engine = Acquire(name, &pod);
+  return Route(name, std::move(engine), pod, batch, answers, nullptr);
 }
 
 RouteStatus Router::AreFrequent(const std::string& name,
-                                const std::vector<core::Itemset>& ts,
+                                const core::QueryBatch& batch,
                                 std::vector<bool>* answers) {
-  return Route(name, nullptr, kNoPod, ts, nullptr, answers);
+  std::size_t pod = kNoPod;
+  auto engine = Acquire(name, &pod);
+  return Route(name, std::move(engine), pod, batch, nullptr, answers);
 }
 
 RouteStatus Router::EstimateMany(const std::string& name,
                                  std::shared_ptr<const Engine> engine,
-                                 const std::vector<core::Itemset>& ts,
+                                 const core::QueryBatch& batch,
                                  std::vector<double>* answers,
                                  std::size_t engine_pod) {
-  return Route(name, std::move(engine), engine_pod, ts, answers, nullptr);
+  return Route(name, std::move(engine), engine_pod, batch, answers, nullptr);
 }
 
 RouteStatus Router::AreFrequent(const std::string& name,
                                 std::shared_ptr<const Engine> engine,
-                                const std::vector<core::Itemset>& ts,
+                                const core::QueryBatch& batch,
                                 std::vector<bool>* answers,
                                 std::size_t engine_pod) {
-  return Route(name, std::move(engine), engine_pod, ts, nullptr, answers);
+  return Route(name, std::move(engine), engine_pod, batch, nullptr, answers);
 }
 
 CoalesceStats Router::coalesce_stats() const {
@@ -352,20 +356,20 @@ Router::Slot& Router::SlotFor(const std::string& name) {
 RouteStatus Router::Route(const std::string& name,
                           std::shared_ptr<const Engine> engine,
                           std::size_t engine_pod,
-                          const std::vector<core::Itemset>& ts,
+                          const core::QueryBatch& batch,
                           std::vector<double>* estimates,
                           std::vector<bool>* bits) {
-  // Slots live forever once created (their addresses must stay stable
-  // for waiting clients), so refuse to mint one for a name no replica
-  // even catalogs -- otherwise a peer cycling through made-up names
-  // would grow slots_ without bound. A pre-acquired engine is proof of
-  // cataloging.
-  if (engine == nullptr && !Knows(name)) {
-    return RouteStatus::kUnknownSketch;
+  // No engine, nothing to run. Slots live forever once created (their
+  // addresses must stay stable for waiting clients), and a live engine
+  // is proof that a replica catalogs the name, so a peer cycling through
+  // made-up names never grows slots_.
+  if (engine == nullptr) {
+    return Knows(name) ? RouteStatus::kLoadFailed
+                       : RouteStatus::kUnknownSketch;
   }
   Slot& slot = SlotFor(name);
   Pending self;
-  self.ts = &ts;
+  self.batch = &batch;
   self.estimates = estimates;
   self.bits = bits;
   self.engine = std::move(engine);
@@ -409,94 +413,104 @@ RouteStatus Router::Route(const std::string& name,
   return self.status;
 }
 
+std::size_t Router::RunGroup(const Engine& engine, Pending* const* group,
+                             std::size_t count, bool estimator_flavor) {
+  if (count == 1) {
+    Pending& p = *group[0];
+    if (estimator_flavor) {
+      engine.estimate_many(*p.batch, p.estimates);
+    } else {
+      engine.are_frequent(*p.batch, p.bits);
+    }
+    p.status = RouteStatus::kOk;
+    return p.batch->size();
+  }
+  core::QueryBatch fused(engine.d());
+  std::size_t queries = 0;
+  std::size_t ids = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    queries += group[i]->batch->size();
+    ids += group[i]->batch->attribute_count();
+  }
+  fused.Reserve(queries, ids);
+  for (std::size_t i = 0; i < count; ++i) fused.Append(*group[i]->batch);
+  std::vector<double> estimates;
+  std::vector<bool> bits;
+  if (estimator_flavor) {
+    engine.estimate_many(fused, &estimates);
+  } else {
+    engine.are_frequent(fused, &bits);
+  }
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    Pending& p = *group[i];
+    const auto begin = static_cast<std::ptrdiff_t>(offset);
+    const auto end = static_cast<std::ptrdiff_t>(offset + p.batch->size());
+    if (estimator_flavor) {
+      p.estimates->assign(estimates.begin() + begin, estimates.begin() + end);
+    } else {
+      p.bits->assign(bits.begin() + begin, bits.begin() + end);
+    }
+    p.status = RouteStatus::kOk;
+    offset += p.batch->size();
+  }
+  return queries;
+}
+
 void Router::RunFused(const std::string& name,
                       const std::vector<Pending*>& batch,
                       bool estimator_flavor) {
-  // Requests that arrived with a pre-acquired engine use it; the rest
-  // share one replica-failover Acquire. Any live engine for the name
-  // answers identically: every replica of a file-backed sketch opens
-  // the same file, and every replica of a stream name holds the same
-  // published snapshot.
-  std::shared_ptr<const Engine> fallback;
-  std::size_t fallback_pod = kNoPod;
-  bool fallback_tried = false;
-
   // Per-request validation: a request with any unanswerable query fails
   // whole (never partially) and is excluded from the fused batch, so one
   // bad client cannot abort the engine for everyone else.
   std::vector<Pending*> runnable;
-  std::vector<core::Itemset> fused;
   const Engine* exec = nullptr;
   std::size_t exec_pod = kNoPod;
   for (Pending* p : batch) {
-    const Engine* engine = p->engine.get();
-    std::size_t engine_pod = p->engine_pod;
-    if (engine == nullptr) {
-      if (!fallback_tried) {
-        fallback = Acquire(name, &fallback_pod);
-        fallback_tried = true;
-      }
-      engine = fallback.get();
-      engine_pod = fallback_pod;
-    }
-    if (engine == nullptr) {
-      p->status = Knows(name) ? RouteStatus::kLoadFailed
-                              : RouteStatus::kUnknownSketch;
-      continue;
-    }
-    bool ok = !estimator_flavor ||
-              engine->params().answer == core::Answer::kEstimator;
-    for (const core::Itemset& t : *p->ts) {
-      if (t.universe() != engine->d() ||
-          !engine->supports_query_size(t.size())) {
-        ok = false;
-        break;
-      }
-    }
+    const Engine& engine = *p->engine;
+    const bool ok =
+        (!estimator_flavor ||
+         engine.params().answer == core::Answer::kEstimator) &&
+        (p->batch->empty() || p->batch->universe() == engine.d()) &&
+        engine.supports_query_sizes(*p->batch);
     if (!ok) {
       p->status = RouteStatus::kUnsupportedQuery;
       continue;
     }
     runnable.push_back(p);
-    exec = engine;
-    exec_pod = engine_pod != kNoPod ? engine_pod : ShardOf(name);
-    fused.insert(fused.end(), p->ts->begin(), p->ts->end());
+    // Any request's engine runs the fused batch: every replica of a
+    // file-backed sketch opens the same file, and every replica of a
+    // stream name holds the same published snapshot.
+    exec = &engine;
+    exec_pod = p->engine_pod != kNoPod ? p->engine_pod : ShardOf(name);
   }
   if (!runnable.empty()) {
-    // One engine call answers every runnable request. Batched kernels
-    // are bit-identical per answer slot whatever the batch composition,
-    // so each scattered slice equals the request's serial answer. The
-    // in-flight gauge brackets exactly the engine call: that is the load
-    // the replica selector wants to spread. The kernel stage lands on
-    // the executing leader's trace (see obs/trace.h).
+    // One engine call answers every runnable request whose ids fit one
+    // batch (all of them, short of 2^32 ids). Batched kernels are
+    // bit-identical per answer slot whatever the batch composition, so
+    // each scattered slice equals the request's serial answer. The
+    // in-flight gauge brackets exactly the engine calls: that is the
+    // load the replica selector wants to spread. The kernel stage lands
+    // on the executing leader's trace (see obs/trace.h).
     coalesce_depth_->Record(runnable.size());
     obs::StageTimer kernel_timer(obs::Stage::kKernel);
     AddInflight(exec_pod, +1);
-    if (estimator_flavor) {
-      std::vector<double> answers;
-      exec->estimate_many(fused, &answers);
-      std::size_t offset = 0;
-      for (Pending* p : runnable) {
-        p->estimates->assign(answers.begin() + static_cast<std::ptrdiff_t>(offset),
-                             answers.begin() + static_cast<std::ptrdiff_t>(
-                                                   offset + p->ts->size()));
-        p->status = RouteStatus::kOk;
-        offset += p->ts->size();
+    std::size_t queries = 0;
+    for (std::size_t first = 0; first < runnable.size();) {
+      std::size_t last = first + 1;
+      std::size_t ids = runnable[first]->batch->attribute_count();
+      while (last < runnable.size() &&
+             ids + runnable[last]->batch->attribute_count() <=
+                 core::QueryBatch::kMaxAttributes) {
+        ids += runnable[last]->batch->attribute_count();
+        ++last;
       }
-    } else {
-      std::vector<bool> answers;
-      exec->are_frequent(fused, &answers);
-      std::size_t offset = 0;
-      for (Pending* p : runnable) {
-        p->bits->assign(answers.begin() + static_cast<std::ptrdiff_t>(offset),
-                        answers.begin() + static_cast<std::ptrdiff_t>(
-                                              offset + p->ts->size()));
-        p->status = RouteStatus::kOk;
-        offset += p->ts->size();
-      }
+      queries += RunGroup(*exec, &runnable[first], last - first,
+                          estimator_flavor);
+      first = last;
     }
     AddInflight(exec_pod, -1);
-    pods_[exec_pod]->CountQueries(name, fused.size());
+    pods_[exec_pod]->CountQueries(name, queries);
   }
 
   coalesce_batches_->Add();

@@ -42,6 +42,12 @@
 // query kernels are bit-identical per answer slot regardless of batch
 // composition (see core/sketch.h). Serial traffic never waits: with no
 // batch in flight a request executes immediately, alone.
+//
+// Requests carry flat core::QueryBatch queries, borrowed from the caller
+// for the duration of the call. A request that runs alone hands its own
+// batch to the engine and receives its answers in place, with no copy;
+// a fused batch appends the requests' batches end to end and scatters
+// the answer slices back.
 #ifndef IFSKETCH_SERVE_ROUTER_H_
 #define IFSKETCH_SERVE_ROUTER_H_
 
@@ -175,33 +181,35 @@ class Router {
   std::shared_ptr<const Engine> Acquire(const std::string& name,
                                         std::size_t* served_pod = nullptr);
 
-  /// Batched estimate through `name`'s replica set, coalescing with
-  /// concurrent callers on the same name. `ts` must already be
-  /// validated against the sketch (universe d, supported sizes,
-  /// estimator flavor) -- use Acquire for the checks; invalid batches
-  /// fail kUnsupportedQuery.
+  /// Batched estimate through `name`'s replica set: Acquire, then the
+  /// engine-taking overload below. kUnknownSketch / kLoadFailed when no
+  /// replica serves the name.
   RouteStatus EstimateMany(const std::string& name,
-                           const std::vector<core::Itemset>& ts,
+                           const core::QueryBatch& batch,
                            std::vector<double>* answers);
 
-  /// Batched threshold queries; same coalescing and contract.
+  /// Batched threshold queries; same contract.
   RouteStatus AreFrequent(const std::string& name,
-                          const std::vector<core::Itemset>& ts,
+                          const core::QueryBatch& batch,
                           std::vector<bool>* answers);
 
   /// Overloads taking the engine (and serving pod index) the caller
   /// already holds from Acquire(name, &pod): the serving loop validates
   /// and routes with a single replica acquire per request. Any live
   /// engine for the name works -- every replica serves bit-identical
-  /// answers.
+  /// answers. Coalesces with concurrent callers on the same name. A
+  /// batch the engine cannot answer (universe, a query size, or an
+  /// indicator-flavored sketch) fails whole with kUnsupportedQuery,
+  /// never reaching the kernels; a null engine fails like the overloads
+  /// above.
   RouteStatus EstimateMany(const std::string& name,
                            std::shared_ptr<const Engine> engine,
-                           const std::vector<core::Itemset>& ts,
+                           const core::QueryBatch& batch,
                            std::vector<double>* answers,
                            std::size_t engine_pod = kNoPod);
   RouteStatus AreFrequent(const std::string& name,
                           std::shared_ptr<const Engine> engine,
-                          const std::vector<core::Itemset>& ts,
+                          const core::QueryBatch& batch,
                           std::vector<bool>* answers,
                           std::size_t engine_pod = kNoPod);
 
@@ -222,10 +230,10 @@ class Router {
  private:
   /// One waiting client request inside a coalescing slot.
   struct Pending {
-    const std::vector<core::Itemset>* ts = nullptr;
+    const core::QueryBatch* batch = nullptr;
     std::vector<double>* estimates = nullptr;   // exactly one of these
     std::vector<bool>* bits = nullptr;          // two is non-null
-    std::shared_ptr<const Engine> engine;       // pre-acquired, or null
+    std::shared_ptr<const Engine> engine;       // acquired by the caller
     std::size_t engine_pod = kNoPod;            // who served `engine`
     RouteStatus status = RouteStatus::kOk;
     bool done = false;
@@ -254,8 +262,7 @@ class Router {
 
   RouteStatus Route(const std::string& name,
                     std::shared_ptr<const Engine> engine,
-                    std::size_t engine_pod,
-                    const std::vector<core::Itemset>& ts,
+                    std::size_t engine_pod, const core::QueryBatch& batch,
                     std::vector<double>* estimates,
                     std::vector<bool>* bits);
 
@@ -263,6 +270,13 @@ class Router {
   /// flavor), writing each request's slice and status.
   void RunFused(const std::string& name, const std::vector<Pending*>& batch,
                 bool estimator_flavor);
+
+  /// Answers `count` validated requests with one engine call and returns
+  /// the queries answered. A lone request's batch goes to the engine as
+  /// is, its answers written in place; several are appended into one
+  /// batch and their answer slices copied back.
+  static std::size_t RunGroup(const Engine& engine, Pending* const* group,
+                              std::size_t count, bool estimator_flavor);
 
   /// `name`'s replicas in selection order: healthy by ascending
   /// in-flight load (ties rotated), then suspect, then down pods whose

@@ -37,13 +37,14 @@ ReplyFrame ErrorReply(Status status, std::string_view message) {
   return reply;
 }
 
-/// Turns a decoded query request into Itemsets over the target sketch's
-/// universe, handing back the acquired engine so routing can reuse it
-/// (one pod acquire per request). False (with `*error` filled) when the
-/// name is unknown, the file will not load, or any attribute is out of
-/// range.
-bool PrepareQueries(Router& router, const QueryRequest& request,
-                    std::vector<core::Itemset>* ts,
+/// Acquires the target sketch of a decoded query request and, in one
+/// pass stamped on kDecode (stage stamps add up), binds the batch to the
+/// sketch's universe and checks every query size -- one pod acquire and
+/// one check per request, and the same batch then goes to the router.
+/// False (with `*error` filled) when the name is unknown, the file will
+/// not load, an attribute is out of range, or a query size is
+/// unsupported.
+bool PrepareQueries(Router& router, QueryBatchRequest& request,
                     std::shared_ptr<const Engine>* engine_out,
                     std::size_t* engine_pod, ReplyFrame* error) {
   auto engine = router.Acquire(request.sketch, engine_pod);
@@ -57,26 +58,18 @@ bool PrepareQueries(Router& router, const QueryRequest& request,
     }
     return false;
   }
-  const std::size_t d = engine->d();
-  ts->reserve(request.queries.size());
-  for (const auto& attrs : request.queries) {
-    core::Itemset t(d);
-    for (std::uint32_t attr : attrs) {
-      if (attr >= d) {
-        *error = ErrorReply(Status::kUnsupportedQuery,
-                            "attribute out of range for sketch \"" +
-                                request.sketch + "\"");
-        return false;
-      }
-      t.Add(attr);
-    }
-    if (!engine->supports_query_size(t.size())) {
-      *error = ErrorReply(Status::kUnsupportedQuery,
-                          "query size unsupported by sketch \"" +
-                              request.sketch + "\"");
-      return false;
-    }
-    ts->push_back(std::move(t));
+  obs::StageTimer timer(obs::Stage::kDecode);
+  if (!request.batch.SetUniverse(engine->d())) {
+    *error = ErrorReply(Status::kUnsupportedQuery,
+                        "attribute out of range for sketch \"" +
+                            request.sketch + "\"");
+    return false;
+  }
+  if (!engine->supports_query_sizes(request.batch)) {
+    *error = ErrorReply(Status::kUnsupportedQuery,
+                        "query size unsupported by sketch \"" +
+                            request.sketch + "\"");
+    return false;
   }
   *engine_out = std::move(engine);
   return true;
@@ -100,15 +93,14 @@ ReplyFrame TimedReply(Opcode opcode, EncodeFn&& encode) {
 }
 
 ReplyFrame HandleEstimate(Router& router, std::string_view body) {
-  const auto request = TimedDecode(DecodeQueryRequest, body);
+  auto request = TimedDecode(DecodeQueryBatch, body);
   if (!request.has_value()) {
     return ErrorReply(Status::kBadRequest, "undecodable estimate request");
   }
-  std::vector<core::Itemset> ts;
   std::shared_ptr<const Engine> engine;
   std::size_t engine_pod = Router::kNoPod;
   ReplyFrame error;
-  if (!PrepareQueries(router, *request, &ts, &engine, &engine_pod, &error)) {
+  if (!PrepareQueries(router, *request, &engine, &engine_pod, &error)) {
     return error;
   }
   std::vector<double> answers;
@@ -117,8 +109,8 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
     // The route span covers coalescing: queue wait for a follower, the
     // fused kernel for the leader (which also stamps kKernel).
     obs::StageTimer route_timer(obs::Stage::kRoute);
-    status = router.EstimateMany(request->sketch, std::move(engine), ts,
-                                 &answers, engine_pod);
+    status = router.EstimateMany(request->sketch, std::move(engine),
+                                 request->batch, &answers, engine_pod);
   }
   if (status != RouteStatus::kOk) {
     return ErrorReply(ToProtocolStatus(status),
@@ -131,24 +123,23 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
 }
 
 ReplyFrame HandleAreFrequent(Router& router, std::string_view body) {
-  const auto request = TimedDecode(DecodeQueryRequest, body);
+  auto request = TimedDecode(DecodeQueryBatch, body);
   if (!request.has_value()) {
     return ErrorReply(Status::kBadRequest,
                       "undecodable are-frequent request");
   }
-  std::vector<core::Itemset> ts;
   std::shared_ptr<const Engine> engine;
   std::size_t engine_pod = Router::kNoPod;
   ReplyFrame error;
-  if (!PrepareQueries(router, *request, &ts, &engine, &engine_pod, &error)) {
+  if (!PrepareQueries(router, *request, &engine, &engine_pod, &error)) {
     return error;
   }
   std::vector<bool> answers;
   RouteStatus status;
   {
     obs::StageTimer route_timer(obs::Stage::kRoute);
-    status = router.AreFrequent(request->sketch, std::move(engine), ts,
-                                &answers, engine_pod);
+    status = router.AreFrequent(request->sketch, std::move(engine),
+                                request->batch, &answers, engine_pod);
   }
   if (status != RouteStatus::kOk) {
     return ErrorReply(ToProtocolStatus(status),

@@ -5,7 +5,10 @@
 // server loop, decodes frames off its sockets and hands each to
 // DispatchRequest on a worker, which decodes the body, routes it through
 // a shared Router (coalescing across connections happens there) and
-// encodes exactly one reply frame. Framing errors never get this far:
+// encodes exactly one reply frame. A query body is decoded once into a
+// flat core::QueryBatch, checked once against the acquired sketch, and
+// that same batch is what the router and the kernels read; the answers
+// go into the reply body with one copy. Framing errors never get this far:
 // the reactor answers a malformed frame with one kError frame and closes
 // the connection (a bad header loses frame sync, and length-prefixed
 // framing has no boundary markers to resynchronize on).

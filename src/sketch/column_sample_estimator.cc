@@ -32,36 +32,40 @@ ColumnSampleEstimator::ColumnSampleEstimator(core::ColumnStore columns,
 
 double ColumnSampleEstimator::EstimateFrequency(const core::Itemset& t) const {
   if (rule_ == nullptr && coefficients_.empty()) return columns_.Frequency(t);
+  IFSKETCH_CHECK_EQ(t.universe(), columns_.num_columns());
+  core::QueryBatch batch(t.universe());
+  batch.Add(t);
   double answer = 0.0;
-  EstimateRange(&t, 1, &answer);
+  EstimateRange(batch, 0, 1, &answer);
   return answer;
 }
 
-void ColumnSampleEstimator::EstimateMany(const std::vector<core::Itemset>& ts,
+void ColumnSampleEstimator::EstimateMany(const core::QueryBatch& batch,
                                          std::vector<double>* answers) const {
   const std::size_t rows = columns_.num_rows();
-  answers->resize(ts.size());
+  answers->resize(batch.size());
   if (rule_ == nullptr && coefficients_.empty()) {
     std::vector<std::size_t> counts;
-    if (rows > 0) columns_.SupportCounts(ts, &counts);
-    for (std::size_t i = 0; i < ts.size(); ++i) {
+    if (rows > 0) columns_.SupportCounts(batch, &counts);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
       (*answers)[i] = rows == 0 ? 0.0
                                 : static_cast<double>(counts[i]) /
                                       static_cast<double>(rows);
     }
     return;
   }
-  const core::Itemset* queries = ts.data();
+  IFSKETCH_CHECK(batch.empty() ||
+                 batch.universe() == columns_.num_columns());
   double* out = answers->data();
   util::ThreadPool::Default().ParallelFor(
-      0, ts.size(), core::ColumnStore::kQueryGrain,
-      [this, queries, out](std::size_t first, std::size_t last) {
-        EstimateRange(queries + first, last - first, out + first);
+      0, batch.size(), core::ColumnStore::kQueryGrain,
+      [this, &batch, out](std::size_t first, std::size_t last) {
+        EstimateRange(batch, first, last, out);
       });
 }
 
-void ColumnSampleEstimator::EstimateRange(const core::Itemset* ts,
-                                          std::size_t count,
+void ColumnSampleEstimator::EstimateRange(const core::QueryBatch& batch,
+                                          std::size_t first, std::size_t last,
                                           double* answers) const {
   const util::BitKernels& kernels = util::ActiveKernels();
   const std::size_t rows = columns_.num_rows();
@@ -69,17 +73,16 @@ void ColumnSampleEstimator::EstimateRange(const core::Itemset* ts,
   std::vector<std::uint64_t> hits;
   std::vector<std::size_t> counts(bounds_.empty() ? 0 : bounds_.size() - 1);
   std::vector<double> scratch(counts.size());
-  for (std::size_t q = 0; q < count; ++q) {
+  for (std::size_t q = first; q < last; ++q) {
     // The rows containing the query: the AND of its columns on the
     // dispatched kernels, every row for the empty itemset.
-    IFSKETCH_CHECK_EQ(ts[q].universe(), columns_.num_columns());
-    const std::vector<std::size_t> attrs = ts[q].Attributes();
+    const std::span<const std::uint32_t> attrs = batch[q];
     if (attrs.empty()) {
       hits.assign(words, ~std::uint64_t{0});
       if (rows % 64 != 0) hits.back() = (std::uint64_t{1} << (rows % 64)) - 1;
     } else {
-      const std::uint64_t* first = columns_.Column(attrs[0]).data();
-      hits.assign(first, first + words);
+      const std::uint64_t* column = columns_.Column(attrs[0]).data();
+      hits.assign(column, column + words);
       for (std::size_t i = 1; i < attrs.size(); ++i) {
         kernels.and_into(hits.data(), columns_.Column(attrs[i]).data(), words);
       }
@@ -104,13 +107,13 @@ void ColumnSampleEstimator::EstimateRange(const core::Itemset* ts,
       const std::size_t end = bounds_[g + 1];
       counts[g] = 0;
       if (begin == end) continue;
-      const std::size_t last = (end - 1) / 64;
+      const std::size_t last_word = (end - 1) / 64;
       const std::uint64_t mine = ~std::uint64_t{0} >> (63 - (end - 1) % 64);
-      const std::uint64_t shared = hits[last];
-      hits[last] = shared & mine;
+      const std::uint64_t shared = hits[last_word];
+      hits[last_word] = shared & mine;
       counts[g] = kernels.popcount_words(hits.data() + begin / 64,
-                                         last - begin / 64 + 1);
-      hits[last] = shared & ~mine;
+                                         last_word - begin / 64 + 1);
+      hits[last_word] = shared & ~mine;
     }
     answers[q] = rule_(counts, scratch);
   }

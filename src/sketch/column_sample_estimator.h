@@ -45,13 +45,15 @@ class ColumnSampleEstimator final : public core::FrequencyEstimator {
                         std::vector<double> coefficients);
 
   double EstimateFrequency(const core::Itemset& t) const override;
-  void EstimateMany(const std::vector<core::Itemset>& ts,
+  using core::FrequencyEstimator::EstimateMany;
+  void EstimateMany(const core::QueryBatch& batch,
                     std::vector<double>* answers) const override;
 
  private:
-  // Per group or per row: answers ts[0..count) into answers[0..count).
-  void EstimateRange(const core::Itemset* ts, std::size_t count,
-                     double* answers) const;
+  // Per group or per row: answers queries [first, last) of `batch` into
+  // answers[first..last), reading attribute ids straight from the batch.
+  void EstimateRange(const core::QueryBatch& batch, std::size_t first,
+                     std::size_t last, double* answers) const;
 
   // The shape: per group when rule_ is set, else per row when there are
   // coefficients, else uniform (a per-row view of no rows answers 0,

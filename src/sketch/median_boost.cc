@@ -22,20 +22,23 @@ class MedianEstimator : public core::FrequencyEstimator {
       : copies_(std::move(copies)) {}
 
   double EstimateFrequency(const core::Itemset& t) const override {
+    core::QueryBatch batch(t.universe());
+    batch.Add(t);
     std::vector<double> answer;
-    EstimateMany({t}, &answer);
+    EstimateMany(batch, &answer);
     return answer[0];
   }
 
-  void EstimateMany(const std::vector<core::Itemset>& ts,
+  using core::FrequencyEstimator::EstimateMany;
+  void EstimateMany(const core::QueryBatch& batch,
                     std::vector<double>* answers) const override {
     std::vector<std::vector<double>> per_copy(copies_.size());
     for (std::size_t c = 0; c < copies_.size(); ++c) {
-      copies_[c]->EstimateMany(ts, &per_copy[c]);
+      copies_[c]->EstimateMany(batch, &per_copy[c]);
     }
-    answers->resize(ts.size());
+    answers->resize(batch.size());
     std::vector<double> column(copies_.size());
-    for (std::size_t q = 0; q < ts.size(); ++q) {
+    for (std::size_t q = 0; q < batch.size(); ++q) {
       for (std::size_t c = 0; c < copies_.size(); ++c) {
         column[c] = per_copy[c][q];
       }

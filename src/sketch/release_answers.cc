@@ -1,6 +1,7 @@
 #include "sketch/release_answers.h"
 
 #include <cmath>
+#include <span>
 
 #include "util/bitio.h"
 #include "util/check.h"
@@ -17,6 +18,16 @@ std::uint64_t NumItemsets(std::size_t d, std::size_t k) {
   const std::uint64_t c = util::Binomial(d, k);
   IFSKETCH_CHECK_LT(c, kMaxStoredAnswers);
   return c;
+}
+
+/// The table slot of one batch query: its colex rank, checked to be a
+/// size-k set inside the table like the scalar lookups below.
+std::uint64_t RankOf(std::span<const std::uint32_t> ids, std::size_t k,
+                     std::size_t d, std::size_t slots) {
+  IFSKETCH_CHECK_EQ(ids.size(), k);
+  const std::uint64_t rank = util::RankSubset(ids, d);
+  IFSKETCH_CHECK_LT(rank, slots);
+  return rank;
 }
 
 /// Looks answers up by the queried itemset's colex rank. Only size-k
@@ -36,6 +47,17 @@ class AnswerTableEstimator : public core::FrequencyEstimator {
     return answers_[rank];
   }
 
+  /// One lookup per query, ranked straight from its ids: a few
+  /// multiply-adds, too little work to fan out.
+  using core::FrequencyEstimator::EstimateMany;
+  void EstimateMany(const core::QueryBatch& batch,
+                    std::vector<double>* answers) const override {
+    answers->resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      (*answers)[i] = answers_[RankOf(batch[i], k_, d_, answers_.size())];
+    }
+  }
+
  private:
   std::vector<double> answers_;
   std::size_t d_;
@@ -52,6 +74,16 @@ class AnswerTableIndicator : public core::FrequencyIndicator {
     const std::uint64_t rank = util::RankSubset(t.Attributes(), d_);
     IFSKETCH_CHECK_LT(rank, bits_.size());
     return bits_.Get(rank);
+  }
+
+  /// One lookup per query, as AnswerTableEstimator::EstimateMany.
+  using core::FrequencyIndicator::AreFrequent;
+  void AreFrequent(const core::QueryBatch& batch,
+                   std::vector<bool>* answers) const override {
+    answers->resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      (*answers)[i] = bits_.Get(RankOf(batch[i], k_, d_, bits_.size()));
+    }
   }
 
  private:

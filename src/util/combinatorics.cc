@@ -50,8 +50,10 @@ std::vector<std::size_t> UnrankSubset(std::uint64_t rank, std::size_t n,
   return out;
 }
 
-std::uint64_t RankSubset(const std::vector<std::size_t>& subset,
-                         std::size_t n) {
+namespace {
+
+template <typename Subset>
+std::uint64_t Rank(const Subset& subset, std::size_t n) {
   std::uint64_t rank = 0;
   for (std::size_t i = 0; i < subset.size(); ++i) {
     IFSKETCH_CHECK_LT(subset[i], n);
@@ -59,6 +61,18 @@ std::uint64_t RankSubset(const std::vector<std::size_t>& subset,
     rank += Binomial(subset[i], i + 1);
   }
   return rank;
+}
+
+}  // namespace
+
+std::uint64_t RankSubset(const std::vector<std::size_t>& subset,
+                         std::size_t n) {
+  return Rank(subset, n);
+}
+
+std::uint64_t RankSubset(std::span<const std::uint32_t> subset,
+                         std::size_t n) {
+  return Rank(subset, n);
 }
 
 bool NextSubset(std::vector<std::size_t>& subset, std::size_t n) {

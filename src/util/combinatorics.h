@@ -9,6 +9,7 @@
 #define IFSKETCH_UTIL_COMBINATORICS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ifsketch::util {
@@ -30,6 +31,9 @@ std::vector<std::size_t> UnrankSubset(std::uint64_t rank, std::size_t n,
 
 /// Inverse of UnrankSubset. `subset` must be ascending and within [0, n).
 std::uint64_t RankSubset(const std::vector<std::size_t>& subset,
+                         std::size_t n);
+/// The same over 32-bit ids, e.g. one query of a core::QueryBatch.
+std::uint64_t RankSubset(std::span<const std::uint32_t> subset,
                          std::size_t n);
 
 /// Advances `subset` (ascending k-subset of [0, n)) to its colex successor.

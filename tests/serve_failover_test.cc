@@ -64,6 +64,10 @@ std::vector<core::Itemset> RandomQueries(std::size_t count,
   return queries;
 }
 
+core::QueryBatch RandomBatch(std::size_t count, std::uint64_t seed) {
+  return core::QueryBatch::FromItemsets(RandomQueries(count, seed));
+}
+
 std::vector<std::vector<std::uint32_t>> AsWire(
     const std::vector<core::Itemset>& queries) {
   std::vector<std::vector<std::uint32_t>> wire;
@@ -163,9 +167,10 @@ TEST(FailoverTest, FailoverKeepsAnswersBitIdentical) {
   ASSERT_TRUE(direct.has_value());
   std::vector<double> expected;
   direct->estimate_many(queries, &expected);
+  const auto batch = core::QueryBatch::FromItemsets(queries);
 
   std::vector<double> before;
-  ASSERT_EQ(router.EstimateMany("s", queries, &before), RouteStatus::kOk);
+  ASSERT_EQ(router.EstimateMany("s", batch, &before), RouteStatus::kOk);
   EXPECT_EQ(before, expected);
 
   // Kill the primary: every request transparently fails over and the
@@ -174,18 +179,17 @@ TEST(FailoverTest, FailoverKeepsAnswersBitIdentical) {
   primary.SetFault(FailAcquire());
   for (int i = 0; i < 5; ++i) {
     std::vector<double> answers;
-    ASSERT_EQ(router.EstimateMany("s", queries, &answers),
-              RouteStatus::kOk)
+    ASSERT_EQ(router.EstimateMany("s", batch, &answers), RouteStatus::kOk)
         << i;
     EXPECT_EQ(answers, expected) << i;
   }
   // With EVERY replica refusing, the name is known but unservable.
   for (const auto& pod : router.pods()) pod->SetFault(FailAcquire());
   std::vector<double> answers;
-  EXPECT_EQ(router.EstimateMany("s", queries, &answers),
+  EXPECT_EQ(router.EstimateMany("s", batch, &answers),
             RouteStatus::kLoadFailed);
   for (const auto& pod : router.pods()) pod->SetFault(PodFault{});
-  ASSERT_EQ(router.EstimateMany("s", queries, &answers), RouteStatus::kOk);
+  ASSERT_EQ(router.EstimateMany("s", batch, &answers), RouteStatus::kOk);
   EXPECT_EQ(answers, expected);
 }
 
@@ -234,11 +238,10 @@ TEST(FailoverTest, SerialHotNameSpreadsAcrossReplicas) {
   Router router(MakePods(2), Replicated(2));
   const std::string path = MakeSketchFile("failover_spread", 34);
   ASSERT_TRUE(router.AddSketch("hot", path));
-  const auto queries = RandomQueries(10, 9);
+  const auto batch = RandomBatch(10, 9);
   for (int i = 0; i < 8; ++i) {
     std::vector<double> answers;
-    ASSERT_EQ(router.EstimateMany("hot", queries, &answers),
-              RouteStatus::kOk);
+    ASSERT_EQ(router.EstimateMany("hot", batch, &answers), RouteStatus::kOk);
   }
   // Equal-load ties rotate, so serial traffic on one hot name lands on
   // BOTH replicas rather than pinning the first.
@@ -263,10 +266,10 @@ TEST(FailoverTest, EmptyPodParticipatesHarmlessly) {
   EXPECT_TRUE(router.pods()[1]->Names().empty());
 
   std::vector<double> answers;
-  EXPECT_EQ(router.EstimateMany("unknown", RandomQueries(3, 1), &answers),
+  EXPECT_EQ(router.EstimateMany("unknown", RandomBatch(3, 1), &answers),
             RouteStatus::kUnknownSketch);
   EXPECT_EQ(router.Acquire("unknown"), nullptr);
-  ASSERT_EQ(router.EstimateMany(on_zero, RandomQueries(3, 1), &answers),
+  ASSERT_EQ(router.EstimateMany(on_zero, RandomBatch(3, 1), &answers),
             RouteStatus::kOk);
   const auto health = router.pod_health();
   EXPECT_EQ(health[0].health, PodHealth::kHealthy);
@@ -457,7 +460,7 @@ TEST(ClientWireStatusTest, HealthReportsEveryPod) {
   const std::string path = MakeSketchFile("wire_health", 39);
   ASSERT_TRUE(router.AddSketch("s", path));
   std::vector<double> sink;
-  ASSERT_EQ(router.EstimateMany("s", RandomQueries(4, 3), &sink),
+  ASSERT_EQ(router.EstimateMany("s", RandomBatch(4, 3), &sink),
             RouteStatus::kOk);
   TestServer server(router);
   SketchClient client(server.Connect());

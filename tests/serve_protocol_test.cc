@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace ifsketch::serve {
 namespace {
@@ -85,38 +86,57 @@ TEST(ServeProtocolTest, HeaderRejectsOversizedDeclaredLength) {
                   .has_value());
 }
 
+using Queries = std::vector<std::vector<std::uint32_t>>;
+
+/// The batch's queries as lists, for comparing with what was encoded.
+Queries Unpack(const core::QueryBatch& batch) {
+  Queries queries;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    queries.emplace_back(batch[i].begin(), batch[i].end());
+  }
+  return queries;
+}
+
 TEST(ServeProtocolTest, QueryRequestRoundTrip) {
-  QueryRequest request;
-  request.sketch = "baskets";
-  request.queries = {{0, 3, 7}, {}, {41}};
+  const Queries queries = {{0, 3, 7}, {}, {41}};
   std::string body;
-  ASSERT_TRUE(EncodeQueryRequest(request, &body));
-  const auto back = DecodeQueryRequest(body);
+  ASSERT_TRUE(EncodeQueryRequest({"baskets", queries}, &body));
+  const auto back = DecodeQueryBatch(body);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->sketch, request.sketch);
-  EXPECT_EQ(back->queries, request.queries);
+  EXPECT_EQ(back->sketch, "baskets");
+  EXPECT_EQ(Unpack(back->batch), queries);
+  // Decoded before any sketch is known: the universe is bound later.
+  EXPECT_EQ(back->batch.universe(), core::QueryBatch::kAnyUniverse);
+  EXPECT_EQ(back->batch.bound(), 42u);
+}
+
+TEST(ServeProtocolTest, QueryRequestDecodesEachQueryAsItsSet) {
+  // Ids out of order or repeated name the same set an Itemset built
+  // from them holds: sorted, each id once.
+  const Queries queries = {{5, 3, 5}, {2, 0, 1, 1}, {1, 1, 1}, {7, 4}};
+  std::string body;
+  ASSERT_TRUE(EncodeQueryRequest({"s", queries}, &body));
+  const auto back = DecodeQueryBatch(body);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(Unpack(back->batch), (Queries{{3, 5}, {0, 1, 2}, {1}, {4, 7}}));
+  EXPECT_EQ(back->batch.attribute_count(), 8u);
 }
 
 TEST(ServeProtocolTest, QueryRequestRejectsTruncationAtEveryLength) {
-  QueryRequest request;
-  request.sketch = "s";
-  request.queries = {{1, 2}, {3}};
+  const Queries queries = {{1, 2}, {3}};
   std::string body;
-  ASSERT_TRUE(EncodeQueryRequest(request, &body));
+  ASSERT_TRUE(EncodeQueryRequest({"s", queries}, &body));
   for (std::size_t len = 0; len < body.size(); ++len) {
-    EXPECT_FALSE(DecodeQueryRequest(body.substr(0, len)).has_value())
-        << len;
+    EXPECT_FALSE(DecodeQueryBatch(body.substr(0, len)).has_value()) << len;
   }
 }
 
 TEST(ServeProtocolTest, QueryRequestRejectsTrailingBytes) {
-  QueryRequest request;
-  request.sketch = "s";
-  request.queries = {{1}};
+  const Queries queries = {{1}};
   std::string body;
-  ASSERT_TRUE(EncodeQueryRequest(request, &body));
+  ASSERT_TRUE(EncodeQueryRequest({"s", queries}, &body));
   body.push_back('\0');
-  EXPECT_FALSE(DecodeQueryRequest(body).has_value());
+  EXPECT_FALSE(DecodeQueryBatch(body).has_value());
 }
 
 TEST(ServeProtocolTest, QueryRequestRejectsOverlongBatch) {
@@ -128,7 +148,16 @@ TEST(ServeProtocolTest, QueryRequestRejectsOverlongBatch) {
   body.push_back('s');
   const std::uint32_t count = kMaxQueriesPerRequest + 1;
   body.append(reinterpret_cast<const char*>(&count), 4);
-  EXPECT_FALSE(DecodeQueryRequest(body).has_value());
+  EXPECT_FALSE(DecodeQueryBatch(body).has_value());
+}
+
+TEST(ServeProtocolTest, RefusedQueryRequestAppendsNothing) {
+  // A query over the 65535-attribute limit after valid ones: the
+  // refusal must leave the caller's buffer exactly as it was.
+  const Queries queries = {{1, 2}, std::vector<std::uint32_t>(65536, 7)};
+  std::string body = "prefix";
+  EXPECT_FALSE(EncodeQueryRequest({"s", queries}, &body));
+  EXPECT_EQ(body, "prefix");
 }
 
 TEST(ServeProtocolTest, DeclaredCountsAreBoundedByActualBodyBytes) {
@@ -144,7 +173,7 @@ TEST(ServeProtocolTest, DeclaredCountsAreBoundedByActualBodyBytes) {
   request.push_back('s');
   request.append(reinterpret_cast<const char*>(&big), 4);
   request.push_back('\0');  // one spare byte, nowhere near `big` queries
-  EXPECT_FALSE(DecodeQueryRequest(request).has_value());
+  EXPECT_FALSE(DecodeQueryBatch(request).has_value());
 }
 
 TEST(ServeProtocolTest, EstimateReplyRoundTrip) {
@@ -167,6 +196,23 @@ TEST(ServeProtocolTest, AreFrequentReplyRoundTripAllWidths) {
     const auto back = DecodeAreFrequentReply(body);
     ASSERT_TRUE(back.has_value()) << count;
     EXPECT_EQ(*back, answers) << count;
+  }
+}
+
+TEST(ServeProtocolTest, AreFrequentReplyRejectsSetPaddingBits) {
+  // Bits after the last answer are padding: a body with any of them set
+  // is malformed, so no two bodies decode to the same answers.
+  for (const std::size_t count : {1, 7, 9, 15}) {
+    const std::vector<bool> answers(count, true);
+    std::string body;
+    EncodeAreFrequentReply(answers, &body);
+    ASSERT_TRUE(DecodeAreFrequentReply(body).has_value()) << count;
+    for (std::size_t bit = count % 8; bit < 8; ++bit) {
+      std::string padded = body;
+      padded.back() = static_cast<char>(padded.back() | (1 << bit));
+      EXPECT_FALSE(DecodeAreFrequentReply(padded).has_value())
+          << count << " answers, padding bit " << bit;
+    }
   }
 }
 

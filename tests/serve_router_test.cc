@@ -110,21 +110,23 @@ TEST(RouterTest, RoutesAndAnswersMatchDirectEngine) {
   std::vector<bool> expected_bits;
   direct->are_frequent(queries, &expected_bits);
 
+  const auto batch = core::QueryBatch::FromItemsets(queries);
   std::vector<double> answers;
-  ASSERT_EQ(router.EstimateMany("s", queries, &answers), RouteStatus::kOk);
+  ASSERT_EQ(router.EstimateMany("s", batch, &answers), RouteStatus::kOk);
   EXPECT_EQ(answers, expected);
   std::vector<bool> bits;
-  ASSERT_EQ(router.AreFrequent("s", queries, &bits), RouteStatus::kOk);
+  ASSERT_EQ(router.AreFrequent("s", batch, &bits), RouteStatus::kOk);
   EXPECT_EQ(bits, expected_bits);
 
-  EXPECT_EQ(router.EstimateMany("nope", queries, &answers),
+  EXPECT_EQ(router.EstimateMany("nope", batch, &answers),
             RouteStatus::kUnknownSketch);
 }
 
 TEST(RouterTest, MismatchedUniverseFailsWithoutAborting) {
   Router router(MakePods(1));
   ASSERT_TRUE(router.AddSketch("s", MakeSketchFile("router_bad", 24)));
-  std::vector<core::Itemset> wrong = {core::Itemset(99, {0, 98})};
+  const auto wrong =
+      core::QueryBatch::FromItemsets({core::Itemset(99, {0, 98})});
   std::vector<double> answers;
   EXPECT_EQ(router.EstimateMany("s", wrong, &answers),
             RouteStatus::kUnsupportedQuery);
@@ -140,13 +142,14 @@ TEST(RouterTest, CoalescedAnswersEqualSerialAnswers) {
 
   constexpr std::size_t kClients = 8;
   constexpr int kRounds = 20;
-  std::vector<std::vector<core::Itemset>> batches;
+  std::vector<core::QueryBatch> batches;
   std::vector<std::vector<double>> expected(kClients);
   const auto direct = Engine::Open(path);
   ASSERT_TRUE(direct.has_value());
   for (std::size_t c = 0; c < kClients; ++c) {
-    batches.push_back(RandomQueries(30 + c, 100 + c));
-    direct->estimate_many(batches[c], &expected[c]);
+    const auto queries = RandomQueries(30 + c, 100 + c);
+    batches.push_back(core::QueryBatch::FromItemsets(queries));
+    direct->estimate_many(queries, &expected[c]);
   }
 
   util::ThreadPool::SetDefaultThreadCount(2);
@@ -186,6 +189,7 @@ TEST(RouterTest, MixedFlavorCoalescingStaysExact) {
   const std::string path = MakeSketchFile("router_mixed", 26);
   ASSERT_TRUE(router.AddSketch("s", path));
   const auto queries = RandomQueries(40, 27);
+  const auto batch = core::QueryBatch::FromItemsets(queries);
 
   const auto direct = Engine::Open(path);
   std::vector<double> expected;
@@ -200,7 +204,7 @@ TEST(RouterTest, MixedFlavorCoalescingStaysExact) {
       for (int r = 0; r < 15; ++r) {
         if (c % 2 == 0) {
           std::vector<double> answers;
-          if (router.EstimateMany("s", queries, &answers) !=
+          if (router.EstimateMany("s", batch, &answers) !=
                   RouteStatus::kOk ||
               answers != expected) {
             mismatches.fetch_add(1);
@@ -208,7 +212,7 @@ TEST(RouterTest, MixedFlavorCoalescingStaysExact) {
           }
         } else {
           std::vector<bool> bits;
-          if (router.AreFrequent("s", queries, &bits) != RouteStatus::kOk ||
+          if (router.AreFrequent("s", batch, &bits) != RouteStatus::kOk ||
               bits != expected_bits) {
             mismatches.fetch_add(1);
             return;

@@ -191,6 +191,58 @@ TEST(ServeServerTest, UnsupportedQuerySizeGetsUnsupportedQuery) {
       << client.last_error();
 }
 
+// ------------------------------------------------ wire set semantics
+
+// A query on the wire names the attribute SET of its ids, exactly what
+// an Itemset built from them holds: order and repeats change nothing.
+TEST(ServeServerTest, QueriesAnswerAsTheirAttributeSets) {
+  Rig rig = MakeRig("SUBSAMPLE", "srv_sets", 42);
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
+  const core::Itemset t(rig.direct.d(), {3, 5});
+  std::vector<double> direct;
+  rig.direct.estimate_many({t, t}, &direct);
+  std::vector<bool> direct_bits;
+  rig.direct.are_frequent({t, t}, &direct_bits);
+
+  const auto served = client.EstimateMany("s", {{5, 3, 5}, {5, 3}});
+  ASSERT_TRUE(served.has_value()) << client.last_error();
+  ASSERT_EQ(served->size(), 2u);
+  EXPECT_EQ(std::memcmp(served->data(), direct.data(), 2 * sizeof(double)),
+            0);
+  const auto served_bits = client.AreFrequent("s", {{5, 3, 5}, {5, 3}});
+  ASSERT_TRUE(served_bits.has_value()) << client.last_error();
+  EXPECT_EQ(*served_bits, direct_bits);
+}
+
+// Query sizes are set sizes too: a sketch that answers only k-itemsets
+// takes {2,0,1,1} as {0,1,2} and refuses {1,1,1} = {1} -- it must not
+// count the repeated ids and abort on a mis-sized itemset.
+TEST(ServeServerTest, QuerySizeIsTheSetSize) {
+  Rig rig = MakeRig("RELEASE-ANSWERS", "srv_set_size", 43);
+  TestServer server(*rig.router);
+  SketchClient client(server.Connect());
+  std::vector<double> direct;
+  rig.direct.estimate_many({core::Itemset(rig.direct.d(), {0, 1, 2})},
+                           &direct);
+  std::vector<bool> direct_bits;
+  rig.direct.are_frequent({core::Itemset(rig.direct.d(), {0, 1, 2})},
+                          &direct_bits);
+  const auto served = client.EstimateMany("s", {{2, 0, 1, 1}});
+  ASSERT_TRUE(served.has_value()) << client.last_error();
+  ASSERT_EQ(served->size(), 1u);
+  EXPECT_EQ(std::memcmp(served->data(), direct.data(), sizeof(double)), 0);
+  const auto served_bits = client.AreFrequent("s", {{2, 0, 1, 1}});
+  ASSERT_TRUE(served_bits.has_value()) << client.last_error();
+  EXPECT_EQ(*served_bits, direct_bits);
+
+  EXPECT_FALSE(client.EstimateMany("s", {{1, 1, 1}}).has_value());
+  EXPECT_EQ(client.last_status(), Status::kUnsupportedQuery);
+  EXPECT_FALSE(client.AreFrequent("s", {{1, 1, 1}}).has_value());
+  EXPECT_EQ(client.last_status(), Status::kUnsupportedQuery);
+  EXPECT_TRUE(client.Info("s").has_value());  // the server lives on
+}
+
 // ------------------------------------------------- malformed framing
 
 /// Reads one reply frame directly off the transport (bypassing
@@ -304,6 +356,27 @@ TEST(ServeServerTest, UndecodableBodyKeepsConnectionAlive) {
   ASSERT_TRUE(WriteFrame(*wire, Opcode::kInfo, 0, body));
   ASSERT_EQ(ReadReply(*wire, &reply), ReadResult::kFrame);
   EXPECT_EQ(reply.header.opcode, Opcode::kInfoReply);
+}
+
+TEST(ServeServerTest, UndecodableBodyIsBadRequestBeforeNameLookup) {
+  // The body is decoded before the name is looked up, so a malformed
+  // body gets kBadRequest even when its name is unknown.
+  Rig rig = MakeRig("SUBSAMPLE", "srv_body_unknown", 44);
+  TestServer server(*rig.router);
+  const auto wire = server.Connect();
+  ASSERT_NE(wire, nullptr);
+  const std::vector<std::vector<std::uint32_t>> queries = {{1, 2}};
+  std::string body;
+  ASSERT_TRUE(EncodeQueryRequest({"nope", queries}, &body));
+  body.push_back('\0');  // trailing byte: undecodable
+  for (const Opcode opcode : {Opcode::kEstimate, Opcode::kAreFrequent}) {
+    ASSERT_TRUE(WriteFrame(*wire, opcode, 0, body));
+    Frame reply;
+    ASSERT_EQ(ReadReply(*wire, &reply), ReadResult::kFrame);
+    EXPECT_EQ(reply.header.opcode, Opcode::kError);
+    EXPECT_EQ(reply.header.status,
+              static_cast<std::uint8_t>(Status::kBadRequest));
+  }
 }
 
 // ------------------------------------------- refresh/subscribe opcodes

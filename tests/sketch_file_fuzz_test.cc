@@ -140,11 +140,10 @@ std::vector<std::string> ValidFrames() {
   using namespace serve;
   std::vector<std::string> frames;
 
-  QueryRequest request;
-  request.sketch = "golden";
-  request.queries = {{0, 3, 7}, {1}, {}, {2, 5, 9, 11}};
+  const std::vector<std::vector<std::uint32_t>> queries = {
+      {0, 3, 7}, {1}, {}, {2, 5, 9, 11}};
   std::string body;
-  EXPECT_TRUE(EncodeQueryRequest(request, &body));
+  EXPECT_TRUE(EncodeQueryRequest({"golden", queries}, &body));
   std::string frame;
   EXPECT_TRUE(EncodeFrame(Opcode::kEstimate, 0, body, &frame));
   frames.push_back(frame);
@@ -265,25 +264,42 @@ void DecodeLikeServer(const std::string& bytes) {
   switch (header->opcode) {
     case Opcode::kEstimate:
     case Opcode::kAreFrequent: {
-      const auto request = DecodeQueryRequest(body);
+      const auto request = DecodeQueryBatch(body);
       if (request.has_value()) {
-        // Round trip: a request the decoder accepts must re-encode and
-        // re-decode to the same queries.
+        // Round trip: a batch the server's decoder accepts must
+        // re-encode and re-decode to the same batch.
+        std::vector<std::vector<std::uint32_t>> queries;
+        for (std::size_t i = 0; i < request->batch.size(); ++i) {
+          const auto attrs = request->batch[i];
+          queries.emplace_back(attrs.begin(), attrs.end());
+        }
         std::string re_body;
-        ASSERT_TRUE(EncodeQueryRequest(*request, &re_body));
-        const auto again = DecodeQueryRequest(re_body);
+        ASSERT_TRUE(EncodeQueryRequest({request->sketch, queries}, &re_body));
+        const auto again = DecodeQueryBatch(re_body);
         ASSERT_TRUE(again.has_value());
         ASSERT_EQ(again->sketch, request->sketch);
-        ASSERT_EQ(again->queries, request->queries);
+        ASSERT_TRUE(again->batch == request->batch);
       }
       break;
     }
-    case Opcode::kEstimateReply:
-      DecodeEstimateReply(body);
+    case Opcode::kEstimateReply: {
+      const auto answers = DecodeEstimateReply(body);
+      if (answers.has_value()) {
+        std::string re_body;
+        EncodeEstimateReply(*answers, &re_body);
+        ASSERT_EQ(re_body, std::string(body));
+      }
       break;
-    case Opcode::kAreFrequentReply:
-      DecodeAreFrequentReply(body);
+    }
+    case Opcode::kAreFrequentReply: {
+      const auto answers = DecodeAreFrequentReply(body);
+      if (answers.has_value()) {
+        std::string re_body;
+        EncodeAreFrequentReply(*answers, &re_body);
+        ASSERT_EQ(re_body, std::string(body));
+      }
       break;
+    }
     case Opcode::kInfo:
       DecodeInfoRequest(body);
       break;

@@ -345,9 +345,9 @@ class EngineEstimator : public core::FrequencyEstimator {
   double EstimateFrequency(const core::Itemset& t) const override {
     return engine_.estimate(t);
   }
-  void EstimateMany(const std::vector<core::Itemset>& ts,
+  void EstimateMany(const core::QueryBatch& batch,
                     std::vector<double>* answers) const override {
-    engine_.estimate_many(ts, answers);
+    engine_.estimate_many(batch, answers);
   }
 
  private:
@@ -360,9 +360,9 @@ class EngineIndicator : public core::FrequencyIndicator {
   bool IsFrequent(const core::Itemset& t) const override {
     return engine_.is_frequent(t);
   }
-  void AreFrequent(const std::vector<core::Itemset>& ts,
+  void AreFrequent(const core::QueryBatch& batch,
                    std::vector<bool>* answers) const override {
-    engine_.are_frequent(ts, answers);
+    engine_.are_frequent(batch, answers);
   }
 
  private:
