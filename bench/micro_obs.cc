@@ -6,12 +6,16 @@
 // The PR 8 contract this bench pins: instrumenting the query hot path
 // (one request counter + one RequestTrace + one kernel StageTimer per
 // batch, exactly what DispatchRequest adds) moves steady-state query
-// throughput by at most 2%. The bench FAILS (exit 1) when the steady
-// kernel regresses more than the contract allows, so CI catches an
-// accidentally fattened hot path. Histogram::Record is a handful of
-// relaxed atomics -- single-digit ns on bare metal, low teens on
-// virtualized CI hardware -- reported here but not gated (the absolute
-// number tracks the host's atomic RMW latency, not our code).
+// throughput by at most 2%. The two sides run as paired, interleaved
+// blocks of calls, the side that goes first alternating pair by pair, so
+// host drift lands on both halves of a pair alike. The bench FAILS (exit
+// 1) only when a one-sided 99% lower confidence bound on the median
+// per-pair overhead exceeds 2% -- an overhead above the contract beyond
+// what block-to-block noise explains -- so CI catches an accidentally
+// fattened hot path without failing on a noisy host. Histogram::Record
+// is a handful of relaxed atomics -- single-digit ns on bare metal, low
+// teens on virtualized CI hardware -- reported here but not gated (the
+// absolute number tracks the host's atomic RMW latency, not our code).
 //
 // Kernels, in the repo's stable bench schema
 //   {"kernel": str, "threads": int, "batch": int, "ns_per_query": float}:
@@ -28,13 +32,15 @@
 //   query_baseline  engine.estimate_many batches, uninstrumented
 //   query_steady    the same batches under per-request instrumentation
 //                   (request counter + RequestTrace + kernel timer);
-//                   must be within 2% of query_baseline
+//                   the gate above compares it with query_baseline
 //
 // The record/counter numbers are per *operation*; batch reports how
 // many operations the timed loop ran.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -74,6 +80,22 @@ struct Row {
   std::size_t batch;
   double ns_per_query;
 };
+
+/// The largest rank j (1-based) such that the j-th smallest of n samples
+/// is a one-sided `confidence` lower bound on their median:
+/// P(Binomial(n, 1/2) >= j) >= confidence. Needs n <= 1000 (2^-n must not
+/// underflow).
+std::size_t MedianLowerBoundRank(std::size_t n, double confidence) {
+  double pmf = std::ldexp(1.0, -static_cast<int>(n));  // P(B = 0)
+  double tail = 1.0 - pmf;                              // P(B >= 1)
+  std::size_t j = 1;
+  for (; j < n; ++j) {
+    pmf *= static_cast<double>(n - j + 1) / static_cast<double>(j);
+    if (tail - pmf < confidence) break;  // P(B >= j + 1) too small
+    tail -= pmf;
+  }
+  return j;
+}
 
 /// Populates `registry` with a serving-shaped metric set: op counters,
 /// stage histograms, per-pod and per-sketch series -- what Snapshot and
@@ -252,9 +274,13 @@ int main(int argc, char** argv) {
   // -- query_baseline vs query_steady: the 2% contract. Same engine,
   // same queries; steady adds exactly the per-request instrumentation
   // DispatchRequest introduces (op counter, RequestTrace, kernel
-  // StageTimer). Three alternating passes each to cancel drift.
+  // StageTimer). kPairs pairs of kBlockRounds-call blocks, interleaved,
+  // the side that runs first alternating.
+  constexpr std::size_t kPairs = 400;
+  constexpr std::size_t kBlockRounds = 10;
   double baseline_ns = 0.0;
   double steady_ns = 0.0;
+  std::vector<double> overheads;  // per pair: steady / baseline - 1
   {
     util::Rng rng(7);
     const core::Database db =
@@ -275,29 +301,45 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry registry;
     obs::Counter* requests = registry.GetCounter(
         obs::LabeledName("serve_requests_total", "op", "estimate"));
-    const std::size_t query_rounds = 400;
     std::vector<double> answers;
-    // Warm both paths once.
-    engine->estimate_many(queries, &answers);
-    double base_total = 0.0;
-    double steady_total = 0.0;
-    for (int pass = 0; pass < 3; ++pass) {
-      const auto b0 = std::chrono::steady_clock::now();
-      for (std::size_t r = 0; r < query_rounds; ++r) {
+    const auto baseline_block = [&] {
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t r = 0; r < kBlockRounds; ++r) {
         engine->estimate_many(queries, &answers);
       }
-      base_total += ElapsedNs(b0);
-      const auto s0 = std::chrono::steady_clock::now();
-      for (std::size_t r = 0; r < query_rounds; ++r) {
+      return ElapsedNs(start);
+    };
+    const auto steady_block = [&] {
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t r = 0; r < kBlockRounds; ++r) {
         requests->Add();
         obs::RequestTrace trace(&registry, "estimate");
         obs::StageTimer kernel(obs::Stage::kKernel);
         engine->estimate_many(queries, &answers);
       }
-      steady_total += ElapsedNs(s0);
+      return ElapsedNs(start);
+    };
+    // Warm both paths once.
+    baseline_block();
+    steady_block();
+    double base_total = 0.0;
+    double steady_total = 0.0;
+    for (std::size_t pair = 0; pair < kPairs; ++pair) {
+      double base = 0.0;
+      double steady = 0.0;
+      if (pair % 2 == 0) {
+        base = baseline_block();
+        steady = steady_block();
+      } else {
+        steady = steady_block();
+        base = baseline_block();
+      }
+      base_total += base;
+      steady_total += steady;
+      overheads.push_back(steady / base - 1.0);
     }
-    const double denom =
-        static_cast<double>(3 * query_rounds) * static_cast<double>(batch);
+    const double denom = static_cast<double>(kPairs * kBlockRounds) *
+                         static_cast<double>(batch);
     baseline_ns = base_total / denom;
     steady_ns = steady_total / denom;
     rows.push_back({"query_baseline", 1, batch, baseline_ns});
@@ -321,13 +363,16 @@ int main(int argc, char** argv) {
   std::fprintf(out, "]\n");
   if (out != stdout) std::fclose(out);
 
-  const double overhead =
-      baseline_ns > 0.0 ? (steady_ns - baseline_ns) / baseline_ns : 0.0;
+  std::sort(overheads.begin(), overheads.end());
+  const double median = overheads[overheads.size() / 2];
+  const double lower =
+      overheads[MedianLowerBoundRank(overheads.size(), 0.99) - 1];
   std::fprintf(stderr,
-               "query_steady: %.2f ns/query vs baseline %.2f ns/query "
-               "(%+.2f%%, contract <= 2%%)\n",
-               steady_ns, baseline_ns, 100.0 * overhead);
-  if (overhead > 0.02) {
+               "query_steady: %.2f ns/query vs baseline %.2f ns/query; "
+               "per-pair overhead median %+.2f%%, 99%% lower bound %+.2f%% "
+               "(contract: bound <= 2%%)\n",
+               steady_ns, baseline_ns, 100.0 * median, 100.0 * lower);
+  if (lower > 0.02) {
     std::fprintf(stderr,
                  "error: instrumentation overhead exceeds the 2%% "
                  "contract\n");

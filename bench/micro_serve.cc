@@ -7,10 +7,10 @@
 // Compares direct Engine::estimate_many calls against the same batches
 // served through the wire protocol and the epoll reactor
 // (serve/reactor.h) over 127.0.0.1 TCP -- the full encode/frame/socket/
-// dispatch/route/coalesce/decode path -- at 1/2/4/8 concurrent clients.
+// dispatch/decode/route/encode path -- at 1/2/4/8 concurrent clients.
 // Each served client owns one connection; all connections share one
-// Router, so concurrent clients exercise the cross-client coalescing
-// path. The `served_loopback` rows keep the name they had when they
+// Router, whose requests run side by side on the reactor's dispatch
+// workers, one engine call each. The `served_loopback` rows keep the name they had when they
 // crossed an in-process byte queue instead of a socket; since the
 // reactor became the only server loop they include the loopback socket
 // cost, so rows from before that change are not comparable.
@@ -24,8 +24,10 @@
 //                    asserts ZERO client-visible failures and
 //                    bit-identical answers through the outage.
 //   served_skewed    90% of requests hammer one hot name, the rest
-//                    spread over 7 cold names; load-aware selection
-//                    spreads the hot name across its replicas.
+//                    spread over 7 cold names; the hot name's
+//                    concurrent requests run at once, and load-aware
+//                    selection (fewest in flight, ties rotated) spreads
+//                    them across its two replicas.
 //
 // --conns adds the connection-scale sweep over the epoll reactor
 // (serve/reactor.h) on real loopback TCP: for each count C the bench

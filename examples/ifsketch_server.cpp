@@ -16,8 +16,8 @@
 // --loop-threads event loops multiplex every connection, clients may
 // pipeline many request frames per connection (replies come back in
 // request order), and heavy work runs on the dispatch pool + query
-// thread pool so a loop never blocks. Concurrent requests for the same
-// sketch coalesce into fused Engine batches in the router, and a
+// thread pool so a loop never blocks. Each request runs as one Engine
+// call on a dispatch worker, concurrent requests side by side, and a
 // replica that fails is failed over transparently. Sketch files load on
 // first use and stay resident under the per-pod byte budget (LRU
 // eviction).

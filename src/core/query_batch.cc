@@ -44,28 +44,10 @@ bool QueryBatch::SetUniverse(std::size_t d) {
   return true;
 }
 
-void QueryBatch::Reserve(std::size_t queries, std::size_t attrs) {
-  offsets_.reserve(offsets_.size() + queries + (offsets_.empty() ? 1 : 0));
-  attrs_.reserve(attrs_.size() + attrs);
-}
-
 void QueryBatch::Add(const Itemset& t) {
   IFSKETCH_CHECK(t.universe() == d_ && d_ <= kAnyUniverse);
   Append(1, t.size(),
          [&t](std::uint32_t* dst) { return WriteIds(t, dst); });
-}
-
-void QueryBatch::Append(const QueryBatch& other) {
-  if (other.empty()) return;
-  IFSKETCH_CHECK_LE(other.bound_, d_);
-  IFSKETCH_CHECK_LE(attrs_.size() + other.attrs_.size(), kMaxAttributes);
-  if (offsets_.empty()) offsets_.push_back(0);
-  const auto base = static_cast<std::uint32_t>(attrs_.size());
-  attrs_.insert(attrs_.end(), other.attrs_.begin(), other.attrs_.end());
-  for (std::size_t i = 1; i < other.offsets_.size(); ++i) {
-    offsets_.push_back(base + other.offsets_[i]);
-  }
-  bound_ = std::max(bound_, other.bound_);
 }
 
 void QueryBatch::CopyTo(std::size_t i, Itemset* t) const {

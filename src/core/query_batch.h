@@ -74,9 +74,6 @@ class QueryBatch {
   /// every attribute is below d, false (unchanged) otherwise. O(1).
   bool SetUniverse(std::size_t d);
 
-  /// Capacity for `queries` more queries of `attrs` more ids in total.
-  void Reserve(std::size_t queries, std::size_t attrs);
-
   /// Appends `count` queries holding `ids` attribute ids in total, in
   /// one pass: `next(dst)` writes the next query's ids to dst[0..n), in
   /// any order, repeats allowed, and returns n; the n of all calls sum to
@@ -88,10 +85,6 @@ class QueryBatch {
 
   /// Appends `t`. Precondition: t.universe() == universe().
   void Add(const Itemset& t);
-
-  /// Appends every query of `other`, in order. Precondition:
-  /// other.bound() <= universe().
-  void Append(const QueryBatch& other);
 
   /// Overwrites `*t` with query i as an Itemset over universe(), reusing
   /// its storage when it already has that universe (the scalar fallback

@@ -44,15 +44,11 @@
 //     | _kernel_ns | _encode_ns                   histogram per-stage spans
 //                                                           from the request
 //                                                           trace
-//   serve_coalesce_batches_total                  counter   fused leader
-//                                                           executions
-//   serve_coalesce_requests_total                 counter   requests that
-//                                                           entered coalescing
-//   serve_coalesce_fused_total                    counter   follower requests
-//                                                           answered by a
-//                                                           leader's batch
-//   serve_coalesce_depth                          histogram requests fused
-//                                                           per batch
+//   serve_coalesce_batches_total                  counter   engine calls the
+//                                                           router issued
+//   serve_coalesce_requests_total                 counter   query requests
+//                                                           routed (equals
+//                                                           the batches)
 //   serve_loop_connections{loop=...}              gauge     open connections
 //                                                           on an event loop
 //   serve_loop_outbound_bytes{loop=...}           gauge     queued reply bytes

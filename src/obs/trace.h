@@ -17,23 +17,22 @@
 //   kDecode   frame body decode + validation   (DispatchRequest; two
 //             into one QueryBatch, then the    stamps that add up, one
 //             post-acquire range/size check    each side of kAcquire)
-//   kRoute    Route() span: placement, health  (Router; includes the
-//             selection, coalesce wait/lead    kernel for the leader
-//                                              of a fused batch)
+//   kRoute    the Router call: its check of    (DispatchRequest; includes
+//             the request, then the engine     the kernel stage)
+//             call
 //   kAcquire  the replica walk + sketch        (Router::Acquire, which
 //             open/mmap/evict                  wraps SketchPod::Acquire)
-//   kKernel   the fused Engine call itself     (Router::RunFused)
+//   kKernel   the batched Engine call itself   (Router::Route)
 //   kEncode   reply body encode                (DispatchRequest)
 //
 // On the query path (estimate, are-frequent) every step of a successful
 // request runs inside one of these spans: decode, acquire, the check
 // (kDecode again), route, encode.
 //
-// Coalescing caveat: a fused batch executes on the leader's thread, so
-// kKernel (and the Stamp inside RunFused) lands on the leader's trace;
-// followers observe the wait inside kRoute but no kernel stage. The
-// per-stage histograms therefore count kernel executions, not requests
-// -- matching serve_coalesce_batches_total by construction.
+// The router runs each query request's engine call on the thread that
+// dispatched it, so kKernel is stamped on that request's own trace:
+// serve_stage_kernel_ns carries one sample per query request that
+// reached the kernels.
 //
 // Threading: a trace belongs to the thread that created it. Stamps
 // from other threads land on whatever trace *that* thread carries (or

@@ -55,11 +55,8 @@ Router::Router(std::vector<std::shared_ptr<SketchPod>> pods,
                                            : &obs::MetricsRegistry::Default();
   coalesce_batches_ = registry_->GetCounter("serve_coalesce_batches_total");
   coalesce_requests_ = registry_->GetCounter("serve_coalesce_requests_total");
-  coalesce_fused_ = registry_->GetCounter("serve_coalesce_fused_total");
-  coalesce_depth_ = registry_->GetHistogram("serve_coalesce_depth");
   coalesce_baseline_.batches = coalesce_batches_->Value();
   coalesce_baseline_.requests = coalesce_requests_->Value();
-  coalesce_baseline_.fused = coalesce_fused_->Value();
   pod_metrics_.reserve(pods_.size());
   for (std::size_t i = 0; i < pods_.size(); ++i) {
     const std::string pod = std::to_string(i);
@@ -313,7 +310,7 @@ RouteStatus Router::EstimateMany(const std::string& name,
                                  std::vector<double>* answers) {
   std::size_t pod = kNoPod;
   auto engine = Acquire(name, &pod);
-  return Route(name, std::move(engine), pod, batch, answers, nullptr);
+  return Route(name, engine.get(), pod, batch, answers, nullptr);
 }
 
 RouteStatus Router::AreFrequent(const std::string& name,
@@ -321,7 +318,7 @@ RouteStatus Router::AreFrequent(const std::string& name,
                                 std::vector<bool>* answers) {
   std::size_t pod = kNoPod;
   auto engine = Acquire(name, &pod);
-  return Route(name, std::move(engine), pod, batch, nullptr, answers);
+  return Route(name, engine.get(), pod, batch, nullptr, answers);
 }
 
 RouteStatus Router::EstimateMany(const std::string& name,
@@ -329,7 +326,7 @@ RouteStatus Router::EstimateMany(const std::string& name,
                                  const core::QueryBatch& batch,
                                  std::vector<double>* answers,
                                  std::size_t engine_pod) {
-  return Route(name, std::move(engine), engine_pod, batch, answers, nullptr);
+  return Route(name, engine.get(), engine_pod, batch, answers, nullptr);
 }
 
 RouteStatus Router::AreFrequent(const std::string& name,
@@ -337,185 +334,51 @@ RouteStatus Router::AreFrequent(const std::string& name,
                                 const core::QueryBatch& batch,
                                 std::vector<bool>* answers,
                                 std::size_t engine_pod) {
-  return Route(name, std::move(engine), engine_pod, batch, nullptr, answers);
+  return Route(name, engine.get(), engine_pod, batch, nullptr, answers);
 }
 
 CoalesceStats Router::coalesce_stats() const {
   CoalesceStats stats;
   stats.batches = coalesce_batches_->Value() - coalesce_baseline_.batches;
   stats.requests = coalesce_requests_->Value() - coalesce_baseline_.requests;
-  stats.fused = coalesce_fused_->Value() - coalesce_baseline_.fused;
   return stats;
 }
 
-Router::Slot& Router::SlotFor(const std::string& name) {
-  std::lock_guard<std::mutex> lock(slots_mu_);
-  return slots_[name];  // std::map nodes are address-stable
-}
-
-RouteStatus Router::Route(const std::string& name,
-                          std::shared_ptr<const Engine> engine,
+RouteStatus Router::Route(const std::string& name, const Engine* engine,
                           std::size_t engine_pod,
                           const core::QueryBatch& batch,
                           std::vector<double>* estimates,
                           std::vector<bool>* bits) {
-  // No engine, nothing to run. Slots live forever once created (their
-  // addresses must stay stable for waiting clients), and a live engine
-  // is proof that a replica catalogs the name, so a peer cycling through
-  // made-up names never grows slots_.
   if (engine == nullptr) {
     return Knows(name) ? RouteStatus::kLoadFailed
                        : RouteStatus::kUnknownSketch;
   }
-  Slot& slot = SlotFor(name);
-  Pending self;
-  self.batch = &batch;
-  self.estimates = estimates;
-  self.bits = bits;
-  self.engine = std::move(engine);
-  self.engine_pod = engine_pod;
-
-  std::unique_lock<std::mutex> lock(slot.mu);
-  if (slot.busy) {
-    // A batch is in flight: queue up and let its leader fuse us into the
-    // next one. Answers and status are written before `done` is set, and
-    // both sides synchronize on slot.mu.
-    slot.queue.push_back(&self);
-    slot.cv.wait(lock, [&self] { return self.done; });
-    return self.status;
-  }
-
-  // Leader: nothing in flight, so execute immediately (and alone -- a
-  // lone request must not wait for company that may never come).
-  slot.busy = true;
-  lock.unlock();
-  RunFused(name, {&self}, estimates != nullptr);
-
-  // Drain whatever queued while the batch ran, as fused batches, until
-  // the queue is empty; then hand the slot back.
-  lock.lock();
-  while (!slot.queue.empty()) {
-    std::vector<Pending*> drained;
-    drained.swap(slot.queue);
-    lock.unlock();
-    std::vector<Pending*> fused_estimates;
-    std::vector<Pending*> fused_bits;
-    for (Pending* p : drained) {
-      (p->estimates != nullptr ? fused_estimates : fused_bits).push_back(p);
-    }
-    if (!fused_estimates.empty()) RunFused(name, fused_estimates, true);
-    if (!fused_bits.empty()) RunFused(name, fused_bits, false);
-    lock.lock();
-    for (Pending* p : drained) p->done = true;
-    slot.cv.notify_all();
-  }
-  slot.busy = false;
-  return self.status;
-}
-
-std::size_t Router::RunGroup(const Engine& engine, Pending* const* group,
-                             std::size_t count, bool estimator_flavor) {
-  if (count == 1) {
-    Pending& p = *group[0];
-    if (estimator_flavor) {
-      engine.estimate_many(*p.batch, p.estimates);
-    } else {
-      engine.are_frequent(*p.batch, p.bits);
-    }
-    p.status = RouteStatus::kOk;
-    return p.batch->size();
-  }
-  core::QueryBatch fused(engine.d());
-  std::size_t queries = 0;
-  std::size_t ids = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    queries += group[i]->batch->size();
-    ids += group[i]->batch->attribute_count();
-  }
-  fused.Reserve(queries, ids);
-  for (std::size_t i = 0; i < count; ++i) fused.Append(*group[i]->batch);
-  std::vector<double> estimates;
-  std::vector<bool> bits;
-  if (estimator_flavor) {
-    engine.estimate_many(fused, &estimates);
-  } else {
-    engine.are_frequent(fused, &bits);
-  }
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    Pending& p = *group[i];
-    const auto begin = static_cast<std::ptrdiff_t>(offset);
-    const auto end = static_cast<std::ptrdiff_t>(offset + p.batch->size());
-    if (estimator_flavor) {
-      p.estimates->assign(estimates.begin() + begin, estimates.begin() + end);
-    } else {
-      p.bits->assign(bits.begin() + begin, bits.begin() + end);
-    }
-    p.status = RouteStatus::kOk;
-    offset += p.batch->size();
-  }
-  return queries;
-}
-
-void Router::RunFused(const std::string& name,
-                      const std::vector<Pending*>& batch,
-                      bool estimator_flavor) {
-  // Per-request validation: a request with any unanswerable query fails
-  // whole (never partially) and is excluded from the fused batch, so one
-  // bad client cannot abort the engine for everyone else.
-  std::vector<Pending*> runnable;
-  const Engine* exec = nullptr;
-  std::size_t exec_pod = kNoPod;
-  for (Pending* p : batch) {
-    const Engine& engine = *p->engine;
-    const bool ok =
-        (!estimator_flavor ||
-         engine.params().answer == core::Answer::kEstimator) &&
-        (p->batch->empty() || p->batch->universe() == engine.d()) &&
-        engine.supports_query_sizes(*p->batch);
-    if (!ok) {
-      p->status = RouteStatus::kUnsupportedQuery;
-      continue;
-    }
-    runnable.push_back(p);
-    // Any request's engine runs the fused batch: every replica of a
-    // file-backed sketch opens the same file, and every replica of a
-    // stream name holds the same published snapshot.
-    exec = &engine;
-    exec_pod = p->engine_pod != kNoPod ? p->engine_pod : ShardOf(name);
-  }
-  if (!runnable.empty()) {
-    // One engine call answers every runnable request whose ids fit one
-    // batch (all of them, short of 2^32 ids). Batched kernels are
-    // bit-identical per answer slot whatever the batch composition, so
-    // each scattered slice equals the request's serial answer. The
-    // in-flight gauge brackets exactly the engine calls: that is the
-    // load the replica selector wants to spread. The kernel stage lands
-    // on the executing leader's trace (see obs/trace.h).
-    coalesce_depth_->Record(runnable.size());
-    obs::StageTimer kernel_timer(obs::Stage::kKernel);
-    AddInflight(exec_pod, +1);
-    std::size_t queries = 0;
-    for (std::size_t first = 0; first < runnable.size();) {
-      std::size_t last = first + 1;
-      std::size_t ids = runnable[first]->batch->attribute_count();
-      while (last < runnable.size() &&
-             ids + runnable[last]->batch->attribute_count() <=
-                 core::QueryBatch::kMaxAttributes) {
-        ids += runnable[last]->batch->attribute_count();
-        ++last;
-      }
-      queries += RunGroup(*exec, &runnable[first], last - first,
-                          estimator_flavor);
-      first = last;
-    }
-    AddInflight(exec_pod, -1);
-    pods_[exec_pod]->CountQueries(name, queries);
-  }
-
   coalesce_batches_->Add();
-  coalesce_requests_->Add(batch.size());
-  if (runnable.size() > 1) coalesce_fused_->Add(runnable.size());
+  coalesce_requests_->Add();
+  // A request with any unanswerable query fails whole, never reaching
+  // the kernels (which CHECK what is checked here).
+  const bool answerable =
+      (estimates == nullptr ||
+       engine->params().answer == core::Answer::kEstimator) &&
+      (batch.empty() || batch.universe() == engine->d()) &&
+      engine->supports_query_sizes(batch);
+  if (!answerable) return RouteStatus::kUnsupportedQuery;
+
+  // The in-flight gauge brackets exactly the engine call: that is the
+  // load the replica selector spreads.
+  const std::size_t pod = engine_pod != kNoPod ? engine_pod : ShardOf(name);
+  {
+    obs::StageTimer kernel_timer(obs::Stage::kKernel);
+    AddInflight(pod, +1);
+    if (estimates != nullptr) {
+      engine->estimate_many(batch, estimates);
+    } else {
+      engine->are_frequent(batch, bits);
+    }
+    AddInflight(pod, -1);
+  }
+  pods_[pod]->CountQueries(name, batch.size());
+  return RouteStatus::kOk;
 }
 
 }  // namespace ifsketch::serve

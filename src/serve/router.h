@@ -1,5 +1,5 @@
 // Router: deterministic replicated name -> pod placement with
-// health-checked failover and request coalescing.
+// health-checked failover.
 //
 // The front door over N SketchPods. Placement is R-way rendezvous
 // hashing (highest-random-weight, HRW): every pod index is scored
@@ -30,31 +30,18 @@
 // serves them -- the bit-identity CI invariants hold through every
 // failover path.
 //
-// Coalescing (unchanged from the single-shard router): concurrent
-// requests against the same sketch are fused into one batched Engine
-// call. Each sketch name has a group-commit slot: the first arriving
-// request becomes the leader and executes immediately; requests
-// arriving while a batch is in flight queue up, and when the leader
-// finishes it drains the whole queue as ONE fused
-// estimate_many/are_frequent batch (which fans out on the existing
-// ThreadPool), scattering the answer slices back to the waiting
-// clients. Fusion is answer-preserving by construction: the batched
-// query kernels are bit-identical per answer slot regardless of batch
-// composition (see core/sketch.h). Serial traffic never waits: with no
-// batch in flight a request executes immediately, alone.
-//
-// Requests carry flat core::QueryBatch queries, borrowed from the caller
-// for the duration of the call. A request that runs alone hands its own
-// batch to the engine and receives its answers in place, with no copy;
-// a fused batch appends the requests' batches end to end and scatters
-// the answer slices back.
+// Execution: each query request runs alone, on the thread that routes
+// it. Route checks the request against the engine its caller acquired,
+// runs one estimate_many/are_frequent over the request's own flat
+// core::QueryBatch (borrowed for the duration of the call) with the
+// answers written in place, and returns. Concurrent requests never wait
+// for each other: requests on one name, and the chunks of one pipelined
+// call, run side by side on whichever replicas the selector picked.
 #ifndef IFSKETCH_SERVE_ROUTER_H_
 #define IFSKETCH_SERVE_ROUTER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,15 +61,17 @@ enum class RouteStatus {
   kUnsupportedQuery,  ///< wrong answer flavor or unsupported query size
 };
 
-/// Coalescing counters, snapshot via Router::coalesce_stats(). Since
-/// PR 8 these are read back from the metrics registry
-/// (serve_coalesce_*_total) as deltas against the router's
-/// construction-time baseline -- the struct survives as a convenience
-/// view of THIS router's traffic even when the registry is shared.
+/// Routed query requests, snapshot via Router::coalesce_stats(): deltas
+/// of the serve_coalesce_{batches,requests}_total counters against the
+/// router's construction-time baseline, so the view covers only THIS
+/// router's traffic even when the registry is shared. Every request runs
+/// alone, so `batches` equals `requests` and `fused` is always 0; the
+/// struct and its fields are kept because ifbench, the repository
+/// benchmark, reads them.
 struct CoalesceStats {
   std::uint64_t batches = 0;   ///< Engine batch calls issued
   std::uint64_t requests = 0;  ///< client requests those batches served
-  std::uint64_t fused = 0;     ///< requests that shared a batch with others
+  std::uint64_t fused = 0;     ///< always 0: no request shares a batch
 };
 
 /// A pod's health as the router sees it. State machine:
@@ -116,15 +105,15 @@ struct RouterOptions {
   /// First down->probe delay; doubles per failed probe up to the max.
   std::chrono::milliseconds probe_backoff{100};
   std::chrono::milliseconds probe_backoff_max{5000};
-  /// Registry the router's metrics land in (coalescing counters, batch
-  /// depth, per-pod inflight/health/probe series). Null uses the
-  /// process-wide obs::MetricsRegistry::Default(); tests pass their own
-  /// so counters start from zero.
+  /// Registry the router's metrics land in (request counters, per-pod
+  /// inflight/health/probe series). Null uses the process-wide
+  /// obs::MetricsRegistry::Default(); tests pass their own so counters
+  /// start from zero.
   obs::MetricsRegistry* registry = nullptr;
 };
 
-/// Routes named-sketch requests across replicated pods, fusing
-/// concurrent batches and failing over past unhealthy replicas.
+/// Routes named-sketch requests across replicated pods, failing over
+/// past unhealthy replicas.
 class Router {
  public:
   static constexpr std::size_t kNoPod = static_cast<std::size_t>(-1);
@@ -197,7 +186,7 @@ class Router {
   /// already holds from Acquire(name, &pod): the serving loop validates
   /// and routes with a single replica acquire per request. Any live
   /// engine for the name works -- every replica serves bit-identical
-  /// answers. Coalesces with concurrent callers on the same name. A
+  /// answers. The request runs alone on the calling thread. A
   /// batch the engine cannot answer (universe, a query size, or an
   /// indicator-flavored sketch) fails whole with kUnsupportedQuery,
   /// never reaching the kernels; a null engine fails like the overloads
@@ -228,27 +217,6 @@ class Router {
   obs::MetricsRegistry& registry() const { return *registry_; }
 
  private:
-  /// One waiting client request inside a coalescing slot.
-  struct Pending {
-    const core::QueryBatch* batch = nullptr;
-    std::vector<double>* estimates = nullptr;   // exactly one of these
-    std::vector<bool>* bits = nullptr;          // two is non-null
-    std::shared_ptr<const Engine> engine;       // acquired by the caller
-    std::size_t engine_pod = kNoPod;            // who served `engine`
-    RouteStatus status = RouteStatus::kOk;
-    bool done = false;
-  };
-
-  /// Group-commit state for one sketch name. Estimate and indicator
-  /// requests coalesce in the same queue; the drain step splits them
-  /// into (at most) one fused batch per flavor.
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool busy = false;
-    std::vector<Pending*> queue;
-  };
-
   /// Mutable per-pod health state; guarded by health_mu_.
   struct PodState {
     PodHealth health = PodHealth::kHealthy;
@@ -260,23 +228,13 @@ class Router {
     std::chrono::steady_clock::time_point next_probe{};
   };
 
-  RouteStatus Route(const std::string& name,
-                    std::shared_ptr<const Engine> engine,
+  /// Answers one request with `engine` (exactly one of `estimates` and
+  /// `bits` is non-null): checks it, then runs the batched engine call
+  /// with the answers written in place.
+  RouteStatus Route(const std::string& name, const Engine* engine,
                     std::size_t engine_pod, const core::QueryBatch& batch,
                     std::vector<double>* estimates,
                     std::vector<bool>* bits);
-
-  /// Executes one fused batch for every request in `batch` (all the same
-  /// flavor), writing each request's slice and status.
-  void RunFused(const std::string& name, const std::vector<Pending*>& batch,
-                bool estimator_flavor);
-
-  /// Answers `count` validated requests with one engine call and returns
-  /// the queries answered. A lone request's batch goes to the engine as
-  /// is, its answers written in place; several are appended into one
-  /// batch and their answer slices copied back.
-  static std::size_t RunGroup(const Engine& engine, Pending* const* group,
-                              std::size_t count, bool estimator_flavor);
 
   /// `name`'s replicas in selection order: healthy by ascending
   /// in-flight load (ties rotated), then suspect, then down pods whose
@@ -287,16 +245,9 @@ class Router {
   void ReportFailure(std::size_t pod);
   void AddInflight(std::size_t pod, std::int64_t delta);
 
-  Slot& SlotFor(const std::string& name);
-
   std::vector<std::shared_ptr<SketchPod>> pods_;
   std::size_t replication_;
   RouterOptions options_;
-
-  std::mutex slots_mu_;
-  // Node-stable map: Slot addresses must survive concurrent SlotFor
-  // calls (slots are created on first use and never removed).
-  std::map<std::string, Slot> slots_;
 
   mutable std::mutex health_mu_;
   std::vector<PodState> pod_states_;
@@ -307,8 +258,6 @@ class Router {
   obs::MetricsRegistry* registry_;
   obs::Counter* coalesce_batches_;
   obs::Counter* coalesce_requests_;
-  obs::Counter* coalesce_fused_;
-  obs::Histogram* coalesce_depth_;
   // Counter values at construction: coalesce_stats() reports deltas so
   // a router sharing the process-wide registry with predecessors still
   // reports only its own traffic.

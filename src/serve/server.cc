@@ -106,8 +106,8 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
   std::vector<double> answers;
   RouteStatus status;
   {
-    // The route span covers coalescing: queue wait for a follower, the
-    // fused kernel for the leader (which also stamps kKernel).
+    // The route span covers the router's check and the engine call,
+    // which also stamps kKernel on this request's trace.
     obs::StageTimer route_timer(obs::Stage::kRoute);
     status = router.EstimateMany(request->sketch, std::move(engine),
                                  request->batch, &answers, engine_pod);

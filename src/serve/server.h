@@ -4,8 +4,8 @@
 // is transport-independent: the epoll reactor (serve/reactor.h), the one
 // server loop, decodes frames off its sockets and hands each to
 // DispatchRequest on a worker, which decodes the body, routes it through
-// a shared Router (coalescing across connections happens there) and
-// encodes exactly one reply frame. A query body is decoded once into a
+// a shared Router (one engine call per request) and encodes exactly one
+// reply frame. A query body is decoded once into a
 // flat core::QueryBatch, checked once against the acquired sketch, and
 // that same batch is what the router and the kernels read; the answers
 // go into the reply body with one copy. Framing errors never get this far:

@@ -17,10 +17,12 @@ obs::Gauge& QueueDepthGauge() {
   return *gauge;
 }
 
+}  // namespace
+
 // One ParallelFor invocation. Lives on the heap via shared_ptr so that a
 // worker dequeuing the job after all chunks were claimed (and the caller
 // already returned) still finds valid memory to inspect.
-struct LoopJob {
+struct ThreadPool::LoopJob {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::size_t chunk = 0;
@@ -35,25 +37,25 @@ struct LoopJob {
 };
 
 // Claims and runs chunks until the job is exhausted.
-void DrainLoop(const std::shared_ptr<LoopJob>& job) {
+void ThreadPool::DrainLoop(LoopJob& job) {
   for (;;) {
-    const std::size_t c = job->next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= job->num_chunks) return;
-    const std::size_t first = job->begin + c * job->chunk;
-    const std::size_t last = std::min(job->end, first + job->chunk);
-    (*job->body)(first, last);
-    if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        job->num_chunks) {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->cv.notify_all();
+    const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job.num_chunks) return;
+    const std::size_t first = job.begin + c * job.chunk;
+    const std::size_t last = std::min(job.end, first + job.chunk);
+    (*job.body)(first, last);
+    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        job.num_chunks) {
+      std::lock_guard<std::mutex> lock(job.mu);
+      job.cv.notify_all();
     }
   }
 }
 
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t workers = threads < 2 ? 0 : threads - 1;
+  // Room for a few concurrent callers' helpers before the ring must grow.
+  queue_.resize(std::max<std::size_t>(16, 4 * workers));
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -71,16 +73,17 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<LoopJob> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      QueueDepthGauge().Set(static_cast<std::int64_t>(queue_.size()));
+      cv_.wait(lock, [this] { return stop_ || queued_ != 0; });
+      if (queued_ == 0) return;  // stop_ set and nothing left to drain
+      job = std::move(queue_[head_]);
+      head_ = (head_ + 1) % queue_.size();
+      --queued_;
+      QueueDepthGauge().Set(static_cast<std::int64_t>(queued_));
     }
-    task();
+    DrainLoop(*job);
   }
 }
 
@@ -110,13 +113,22 @@ void ThreadPool::ParallelFor(
   const std::size_t helpers = std::min(threads - 1, job->num_chunks - 1);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < helpers; ++i) {
-      queue_.emplace_back([job] { DrainLoop(job); });
+    if (queued_ + helpers > queue_.size()) {
+      std::vector<std::shared_ptr<LoopJob>> grown(
+          std::max(2 * queue_.size(), queued_ + helpers));
+      for (std::size_t i = 0; i < queued_; ++i) {
+        grown[i] = std::move(queue_[(head_ + i) % queue_.size()]);
+      }
+      queue_.swap(grown);
+      head_ = 0;
     }
-    QueueDepthGauge().Set(static_cast<std::int64_t>(queue_.size()));
+    for (std::size_t i = 0; i < helpers; ++i) {
+      queue_[(head_ + queued_++) % queue_.size()] = job;
+    }
+    QueueDepthGauge().Set(static_cast<std::int64_t>(queued_));
   }
   cv_.notify_all();
-  DrainLoop(job);  // the caller is one of the loop's threads
+  DrainLoop(*job);  // the caller is one of the loop's threads
 
   std::unique_lock<std::mutex> lock(job->mu);
   job->cv.wait(lock, [&] {

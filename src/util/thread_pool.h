@@ -28,8 +28,8 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -70,12 +70,21 @@ class ThreadPool {
   static std::size_t DefaultThreadCount();
 
  private:
+  struct LoopJob;
+
   void WorkerLoop();
+  static void DrainLoop(LoopJob& job);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  // FIFO ring of queued helpers, one entry per worker a ParallelFor call
+  // asks for: queue_[head_], ... for queued_ entries, wrapping. It grows
+  // (doubling) only when full, so once warm a call queues its helpers
+  // without allocating.
+  std::vector<std::shared_ptr<LoopJob>> queue_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   bool stop_ = false;
 };
 

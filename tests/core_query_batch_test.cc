@@ -1,9 +1,8 @@
 // core::QueryBatch, the flat form every batched query path reads: packing
 // Itemsets and reading them back across word boundaries of d, set
-// normalization on append, universe narrowing, concatenation, and the
-// two edge shapes the bit-identity suites reach only through the
-// vector<Itemset> adapters -- an empty batch and the empty itemset
-// inside a flat batch.
+// normalization on append, universe narrowing, and the two edge shapes
+// the bit-identity suites reach only through the vector<Itemset>
+// adapters -- an empty batch and the empty itemset inside a flat batch.
 
 #include "core/query_batch.h"
 
@@ -105,21 +104,6 @@ TEST(QueryBatchTest, SetUniverseNarrowsOnlyWhenEveryIdFits) {
   EXPECT_TRUE(batch.SetUniverse(8));
   EXPECT_EQ(batch.universe(), 8u);
   EXPECT_FALSE(batch.SetUniverse(QueryBatch::kAnyUniverse + 1));
-}
-
-TEST(QueryBatchTest, AppendConcatenatesBatches) {
-  const QueryBatch a = QueryBatch::FromItemsets(
-      {Itemset(6, {0, 1}), Itemset(6), Itemset(6, {5})});
-  const QueryBatch b =
-      QueryBatch::FromItemsets({Itemset(6, {2, 3, 4}), Itemset(6, {1})});
-  QueryBatch fused(6);
-  fused.Append(a);
-  fused.Append(QueryBatch(6));
-  fused.Append(b);
-  EXPECT_EQ(fused, QueryBatch::FromItemsets({Itemset(6, {0, 1}), Itemset(6),
-                                             Itemset(6, {5}),
-                                             Itemset(6, {2, 3, 4}),
-                                             Itemset(6, {1})}));
 }
 
 SketchParams Params() {

@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -86,20 +85,14 @@ constexpr std::size_t kD = 32;
 constexpr std::size_t kSizes[] = {1, 1000, 100000};
 
 /// Allocations one call of `fn` makes, after a warm-up call (lazy views,
-/// thread-local caches, pool threads). The fewest of three calls: the
-/// pool's task queue allocates a block every few dozen calls, whatever
-/// the batch.
+/// thread-local caches, pool threads).
 std::size_t CountAllocations(const std::function<void()>& fn) {
   fn();
-  std::size_t fewest = std::numeric_limits<std::size_t>::max();
-  for (int rep = 0; rep < 3; ++rep) {
-    g_allocations.store(0);
-    g_counting.store(true);
-    fn();
-    g_counting.store(false);
-    fewest = std::min(fewest, g_allocations.load());
-  }
-  return fewest;
+  g_allocations.store(0);
+  g_counting.store(true);
+  fn();
+  g_counting.store(false);
+  return g_allocations.load();
 }
 
 core::SketchParams Params() {

@@ -1,6 +1,6 @@
-// Router: deterministic name -> shard assignment, and request coalescing
-// that returns exactly the answers each client would get serially (the
-// fused batches are answer-preserving by the batched-kernel contract).
+// Router: deterministic name -> shard assignment, and concurrent requests
+// on one name that each run alone, as one engine call, and get exactly
+// the answers they would get serially.
 
 #include "serve/router.h"
 
@@ -132,10 +132,10 @@ TEST(RouterTest, MismatchedUniverseFailsWithoutAborting) {
             RouteStatus::kUnsupportedQuery);
 }
 
-// Many clients hammer the same sketch concurrently; whatever fusion the
-// group-commit slot performs, every client must receive exactly the
-// answers of its own serial request.
-TEST(RouterTest, CoalescedAnswersEqualSerialAnswers) {
+// Many clients hammer the same sketch concurrently; every client must
+// receive exactly the answers of its own serial request, from an engine
+// call of its own.
+TEST(RouterTest, ConcurrentRequestsGetTheirSerialAnswers) {
   Router router(MakePods(2));
   const std::string path = MakeSketchFile("router_fuse", 25);
   ASSERT_TRUE(router.AddSketch("s", path));
@@ -172,19 +172,17 @@ TEST(RouterTest, CoalescedAnswersEqualSerialAnswers) {
   EXPECT_EQ(mismatches.load(), 0);
 
   const CoalesceStats stats = router.coalesce_stats();
-  // Every request was served...
+  // Every request was served, each by an engine call of its own.
   EXPECT_EQ(stats.requests, kClients * kRounds);
-  // ...by at most that many engine batches (strictly fewer when any
-  // fusion happened; equality is legal on a machine that never
-  // overlapped two requests).
-  EXPECT_LE(stats.batches, stats.requests);
+  EXPECT_EQ(stats.batches, stats.requests);
+  EXPECT_EQ(stats.fused, 0u);
   EXPECT_GT(stats.batches, 0u);
   util::ThreadPool::SetDefaultThreadCount(0);
 }
 
-// Estimate and indicator requests interleave on one name: the drain
-// split must fuse each flavor separately and still answer both exactly.
-TEST(RouterTest, MixedFlavorCoalescingStaysExact) {
+// Estimate and indicator requests interleave on one name: each flavor
+// still gets exactly its serial answers.
+TEST(RouterTest, ConcurrentMixedFlavorRequestsGetTheirSerialAnswers) {
   Router router(MakePods(1));
   const std::string path = MakeSketchFile("router_mixed", 26);
   ASSERT_TRUE(router.AddSketch("s", path));

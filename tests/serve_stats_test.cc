@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generators.h"
@@ -100,7 +102,7 @@ TEST(ServeStatsTest, CountersMatchIssuedRequestsExactly) {
   EXPECT_EQ(CounterValue(*stats, "serve_requests_total{op=\"are_frequent\"}"),
             kAreFrequentCalls);
   EXPECT_EQ(CounterValue(*stats, "serve_requests_total{op=\"info\"}"), 1u);
-  // Every query batch entered coalescing; a single client never fuses.
+  // Every query request is one engine call.
   EXPECT_EQ(CounterValue(*stats, "serve_coalesce_requests_total"),
             kEstimateCalls + kAreFrequentCalls);
   EXPECT_EQ(CounterValue(*stats, "serve_coalesce_batches_total"),
@@ -141,6 +143,59 @@ TEST(ServeStatsTest, CountersMatchIssuedRequestsExactly) {
   EXPECT_GT(snap.Quantile(0.5), 0u);
   EXPECT_LE(snap.Quantile(0.5), snap.Quantile(0.99));
   EXPECT_EQ(snap.Quantile(1.0), snap.max);
+}
+
+// Concurrent clients on one name: every query request runs its own engine
+// call on the dispatch worker that serves it, so each trace carries a
+// kernel stage and the kernel histogram counts requests exactly. Batches of 1000
+// queries make the engine call long enough that the server's two
+// dispatch workers routinely overlap on the name.
+TEST(ServeStatsTest, ConcurrentQueriesEachStampTheirOwnKernel) {
+  StatsRig rig = MakeStatsRig("stats_concurrent", 95);
+  TestServer server(*rig.router);
+
+  // 1-, 2- and 3-itemsets of consecutive attributes over d = 10.
+  util::Rng rng(96);
+  std::vector<std::vector<std::uint32_t>> queries(1000);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto first = static_cast<std::uint32_t>(rng.UniformInt(8));
+    for (std::uint32_t a = first; a <= first + i % 3; ++a) {
+      queries[i].push_back(a);
+    }
+  }
+
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      SketchClient client(server.Connect());
+      for (int r = 0; r < kRequestsPerClient; ++r) {
+        const bool ok = (r + c) % 2 == 0
+                            ? client.EstimateMany("s", queries).has_value()
+                            : client.AreFrequent("s", queries).has_value();
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  SketchClient client(server.Connect());
+  const auto stats = client.Stats();
+  ASSERT_TRUE(stats.has_value()) << client.last_error();
+  constexpr std::uint64_t kRequests = kClients * kRequestsPerClient;
+  EXPECT_EQ(CounterValue(*stats, "serve_requests_total{op=\"estimate\"}") +
+                CounterValue(*stats,
+                             "serve_requests_total{op=\"are_frequent\"}"),
+            kRequests);
+  EXPECT_EQ(CounterValue(*stats, "serve_coalesce_batches_total"), kRequests);
+  EXPECT_EQ(CounterValue(*stats, "serve_coalesce_requests_total"), kRequests);
+  const StatsHistogram* kernel_ns =
+      FindHistogram(*stats, "serve_stage_kernel_ns");
+  ASSERT_NE(kernel_ns, nullptr);
+  EXPECT_EQ(kernel_ns->count, kRequests);
 }
 
 TEST(ServeStatsTest, StatsCountsItselfOnTheSecondCall) {
