@@ -5,7 +5,7 @@
 #include "data/generators.h"
 #include "sketch/release_answers.h"
 #include "sketch/release_db.h"
-#include "sketch/reservoir.h"
+#include "sketch/streaming.h"
 #include "sketch/subsample.h"
 #include "util/random.h"
 
@@ -76,10 +76,11 @@ BENCHMARK(BM_ReleaseAnswersQuery);
 
 void BM_ReservoirObserve(benchmark::State& state) {
   util::Rng rng(5);
-  sketch::ReservoirBuilder builder(64, Params(), rng);
+  const auto builder =
+      sketch::StreamSubsampleSketch().NewBuilder(64, Params(), rng);
   const util::BitVector row = rng.RandomBits(64);
   for (auto _ : state) {
-    builder.Observe(row);
+    builder->Observe(row);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -46,6 +46,10 @@ void PutU64(std::string* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
+void StoreU32(unsigned char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
 void PutF64(std::string* out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
 }
@@ -151,18 +155,19 @@ bool ReadWholeFile(const std::string& path, std::string* out,
 
 // --------------------------------------------------------- row framing
 
+/// Appends one record -- payload length, CRC32C of the payload, then
+/// the row's low payload_bytes bytes -- writing each field in place at
+/// the end of `out`. The payload is the row's words as they sit in
+/// memory: the little-endian layout, as in the IFSK v1 payload.
 void AppendRecord(std::string* out, const util::BitVector& row,
                   std::size_t payload_bytes) {
-  PutU32(out, static_cast<std::uint32_t>(payload_bytes));
-  std::string payload;
-  payload.reserve(payload_bytes);
-  const std::uint64_t* words = row.data();
-  for (std::size_t i = 0; i < payload_bytes; ++i) {
-    payload.push_back(
-        static_cast<char>(words[i / 8] >> (8 * (i % 8)) & 0xFF));
-  }
-  PutU32(out, util::Crc32c(payload.data(), payload.size()));
-  out->append(payload);
+  const std::size_t at = out->size();
+  out->resize(at + kRecordHeaderBytes + payload_bytes);
+  auto* record = reinterpret_cast<unsigned char*>(out->data() + at);
+  unsigned char* payload = record + kRecordHeaderBytes;
+  std::memcpy(payload, row.data(), payload_bytes);
+  StoreU32(record, static_cast<std::uint32_t>(payload_bytes));
+  StoreU32(record + 4, util::Crc32c(payload, payload_bytes));
 }
 
 /// Unpacks a record payload into a width-d row; false when padding bits

@@ -1,8 +1,12 @@
 #include "sketch/release_answers.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <span>
 
+#include "core/column_store.h"
+#include "core/query_batch.h"
 #include "util/bitio.h"
 #include "util/check.h"
 #include "util/combinatorics.h"
@@ -13,6 +17,10 @@ namespace {
 // RELEASE-ANSWERS requires materializing C(d,k) answers; refuse absurd
 // shapes up front rather than allocating forever.
 constexpr std::uint64_t kMaxStoredAnswers = std::uint64_t{1} << 28;
+
+// Itemsets counted per SupportCounts batch while building: bounds the
+// batch and count buffers however many answers the table holds.
+constexpr std::uint64_t kBuildChunk = std::uint64_t{1} << 16;
 
 std::uint64_t NumItemsets(std::size_t d, std::size_t k) {
   const std::uint64_t c = util::Binomial(d, k);
@@ -105,22 +113,42 @@ util::BitVector ReleaseAnswersSketch::Build(const core::Database& db,
                                             const core::SketchParams& params,
                                             util::Rng& /*rng*/) const {
   const std::size_t d = db.num_columns();
-  NumItemsets(d, params.k);  // shape sanity check
-  util::BitWriter w;
-  std::vector<std::size_t> attrs(params.k);
-  for (std::size_t i = 0; i < params.k; ++i) attrs[i] = i;
+  const std::size_t k = params.k;
+  const std::uint64_t count = NumItemsets(d, k);
+  const core::ColumnStore store(db);
+  const double n = static_cast<double>(db.num_rows());
   const int fbits = FrequencyBits(params.eps);
   // Colex enumeration order matches RankSubset, so lookups are direct.
-  do {
-    const double f = db.Frequency(core::Itemset(d, attrs));
-    if (params.answer == core::Answer::kIndicator) {
-      // Store the exact decision bit: 1 iff f_T > eps/2 (any rule that is
-      // 1 above eps and 0 below eps/2 is valid; exactness costs nothing).
-      w.WriteBit(f > params.eps / 2);
-    } else {
-      w.WriteQuantized(f, fbits);
+  std::vector<std::size_t> attrs(k);
+  std::iota(attrs.begin(), attrs.end(), std::size_t{0});
+  util::BitWriter w;
+  std::vector<std::size_t> supports;
+  for (std::uint64_t done = 0; done < count;) {
+    const auto chunk =
+        static_cast<std::size_t>(std::min(count - done, kBuildChunk));
+    core::QueryBatch batch(d);
+    batch.Append(chunk, chunk * k, [&](std::uint32_t* dst) {
+      for (std::size_t i = 0; i < k; ++i) {
+        dst[i] = static_cast<std::uint32_t>(attrs[i]);
+      }
+      util::NextSubset(attrs, d);
+      return k;
+    });
+    store.SupportCounts(batch, &supports);
+    for (const std::size_t support : supports) {
+      // Database::Frequency's arithmetic, bit for bit.
+      const double f = n == 0.0 ? 0.0 : static_cast<double>(support) / n;
+      if (params.answer == core::Answer::kIndicator) {
+        // Store the exact decision bit: 1 iff f_T > eps/2 (any rule that
+        // is 1 above eps and 0 below eps/2 is valid; exactness costs
+        // nothing).
+        w.WriteBit(f > params.eps / 2);
+      } else {
+        w.WriteQuantized(f, fbits);
+      }
     }
-  } while (util::NextSubset(attrs, d));
+    done += chunk;
+  }
   return w.Finish();
 }
 

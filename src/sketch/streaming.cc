@@ -10,31 +10,61 @@
 namespace ifsketch::sketch {
 namespace {
 
-/// StreamingBuilder facade over the existing ReservoirBuilder (which
-/// predates the interface and keeps its public name).
+/// STREAM-SUBSAMPLE's builder: s independent size-1 reservoirs, so after
+/// any prefix the slots are i.i.d. uniform rows of that prefix --
+/// exactly SUBSAMPLE's with-replacement distribution, in SUBSAMPLE's
+/// summary format (s rows * d bits).
 class SubsampleStreamBuilder : public StreamingBuilder {
  public:
   SubsampleStreamBuilder(std::size_t d, const core::SketchParams& params,
                          util::Rng& rng)
-      : inner_(d, params, rng) {}
+      : d_(d),
+        slots_(SubsampleSketch::SampleCount(params, d), util::BitVector(d)),
+        rng_(&rng) {}
 
-  void Observe(const util::BitVector& row) override { inner_.Observe(row); }
-  std::size_t rows_seen() const override { return inner_.rows_seen(); }
-  util::BitVector Summary() const override { return inner_.Finish(); }
+  void Observe(const util::BitVector& row) override {
+    IFSKETCH_CHECK_EQ(row.size(), d_);
+    ++rows_seen_;
+    // Slot i keeps the current row with probability 1/rows_seen_,
+    // independently of the other slots. The generator lives in a local
+    // across the loop so its state stays in registers.
+    const util::OneIn keep(rows_seen_);
+    util::Rng rng = *rng_;
+    for (auto& slot : slots_) {
+      if (keep(rng)) slot = row;
+    }
+    *rng_ = rng;
+  }
+
+  std::size_t rows_seen() const override { return rows_seen_; }
+
+  util::BitVector Summary() const override {
+    IFSKETCH_CHECK_GT(rows_seen_, 0u);
+    util::BitWriter w;
+    for (const auto& slot : slots_) w.WriteBits(slot);
+    return w.Finish();
+  }
 
   util::BitVector SaveState() const override {
     util::BitWriter w;
-    inner_.SaveState(&w);
+    w.WriteUint(rows_seen_, 64);
+    for (const auto& slot : slots_) w.WriteBits(slot);
     return w.Finish();
   }
 
   bool RestoreState(const util::BitVector& state) override {
+    if (state.size() != 64 + slots_.size() * d_) return false;
     util::BitReader r(state);
-    return inner_.RestoreState(&r) && r.Remaining() == 0;
+    rows_seen_ = static_cast<std::size_t>(r.ReadUint(64));
+    for (auto& slot : slots_) slot = r.ReadBits(d_);
+    return true;
   }
 
  private:
-  ReservoirBuilder inner_;
+  std::size_t d_;
+  std::size_t rows_seen_ = 0;
+  std::vector<util::BitVector> slots_;
+  util::Rng* rng_;
 };
 
 /// Weighted size-1 reservoirs with Misra-Gries gating (see
@@ -64,12 +94,14 @@ class ImportanceStreamBuilder : public StreamingBuilder {
     }
     total_weight_ += weight;
     ++rows_seen_;
+    util::Rng rng = *rng_;  // in registers across the loop
     for (auto& slot : slots_) {
-      if (rng_->UniformDouble() * total_weight_ < weight) {
+      if (rng.UniformDouble() * total_weight_ < weight) {
         slot.row = row;
         slot.weight = weight;
       }
     }
+    *rng_ = rng;
   }
 
   std::size_t rows_seen() const override { return rows_seen_; }
@@ -168,9 +200,12 @@ void StratifiedSampleBuilder::Observe(const util::BitVector& row) {
   ++stratum.count;
   // Each slot is an independent size-1 reservoir over the stratum's
   // sub-stream (keep the current row with probability 1/count).
+  const util::OneIn keep(stratum.count);
+  util::Rng rng = *rng_;  // in registers across the loop
   for (auto& slot : stratum.slots) {
-    if (rng_->UniformInt(stratum.count) == 0) slot = row;
+    if (keep(rng)) slot = row;
   }
+  *rng_ = rng;
 }
 
 util::BitVector StratifiedSampleBuilder::Summary() const {

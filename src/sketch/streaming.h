@@ -18,9 +18,16 @@
 //     data -- so SketchAlgorithm::PredictedSizeBits stays exact and
 //     Engine::FromParts accepts mid-stream snapshots at any rows_seen.
 //
+// The draw schedule is part of every output: Observe draws once per
+// slot it may replace (one Rng::UniformInt(count) == 0 keep test per
+// unweighted slot, one UniformDouble per weighted slot), and the
+// goldens under tests/data/ pin it. The unweighted builders run that
+// keep test through util::OneIn, which consumes the same draws and
+// returns the same verdicts without a division per slot.
+//
 // Registered algorithms (sketch/builtin_algorithms.cc):
-//   STREAM-SUBSAMPLE   s independent size-1 reservoirs (ReservoirBuilder)
-//                      producing SUBSAMPLE's exact summary format, so it
+//   STREAM-SUBSAMPLE   s independent size-1 reservoirs producing
+//                      SUBSAMPLE's exact summary format, so it
 //                      inherits the column-store loaders, arena column
 //                      sections and zero-copy mapped loads unchanged.
 //   STREAM-STRATIFIED  popcount-stratified reservoirs with proportional
@@ -37,7 +44,6 @@
 #include <vector>
 
 #include "core/sketch.h"
-#include "sketch/reservoir.h"
 #include "sketch/subsample.h"
 #include "stream/misra_gries.h"
 

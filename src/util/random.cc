@@ -27,18 +27,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::UniformInt(std::uint64_t bound) {
   IFSKETCH_CHECK_GT(bound, 0u);
   // Lemire-style rejection: accept when the 128-bit product's low half is
@@ -48,10 +36,6 @@ std::uint64_t Rng::UniformInt(std::uint64_t bound) {
     const std::uint64_t r = Next();
     if (r >= threshold) return r % bound;
   }
-}
-
-double Rng::UniformDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 BitVector Rng::RandomBits(std::size_t size) {

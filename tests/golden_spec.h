@@ -28,10 +28,13 @@ inline constexpr std::size_t kCols = 16;
 inline constexpr std::size_t kNumQueries = 48;
 inline constexpr std::size_t kQuerySize = 3;  // == params.k: all algos answer it
 
+// Append only: algorithm i builds with kBuildSeed + i, so an insertion
+// would reseed every golden after it.
 inline constexpr const char* kAlgorithms[] = {
     "RELEASE-DB",        "RELEASE-ANSWERS", "SUBSAMPLE",
     "SUBSAMPLE-WOR",     "IMPORTANCE-SAMPLE",
     "MEDIAN-BOOST(SUBSAMPLE)",
+    "STREAM-SUBSAMPLE",  "STREAM-STRATIFIED", "STREAM-IMPORTANCE",
 };
 
 inline core::SketchParams GoldenParams() {

@@ -14,7 +14,7 @@
 #include "mining/apriori.h"
 #include "sketch/envelope.h"
 #include "sketch/median_boost.h"
-#include "sketch/reservoir.h"
+#include "sketch/streaming.h"
 #include "sketch/subsample.h"
 #include "util/random.h"
 
@@ -36,11 +36,11 @@ TEST(IntegrationTest, StreamingSketchMiningPipeline) {
   p.scope = core::Scope::kForAll;
   p.answer = core::Answer::kEstimator;
 
-  sketch::ReservoirBuilder builder(d, p, rng);
-  for (std::size_t i = 0; i < db.num_rows(); ++i) builder.Observe(db.Row(i));
+  const auto builder = sketch::StreamSubsampleSketch().NewBuilder(d, p, rng);
+  for (std::size_t i = 0; i < db.num_rows(); ++i) builder->Observe(db.Row(i));
 
   sketch::SubsampleSketch algo;
-  const auto streamed = builder.Finish();
+  const auto streamed = builder->Summary();
   const auto est = algo.LoadEstimator(streamed, p, d, db.num_rows());
 
   mining::AprioriOptions opt;

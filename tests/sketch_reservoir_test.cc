@@ -1,10 +1,13 @@
-#include "sketch/reservoir.h"
+// STREAM-SUBSAMPLE's builder: s independent size-1 reservoirs whose
+// summary is a SUBSAMPLE summary.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "data/generators.h"
+#include "sketch/streaming.h"
 #include "sketch/subsample.h"
 
 namespace ifsketch::sketch {
@@ -20,20 +23,26 @@ core::SketchParams EstParams() {
   return p;
 }
 
+std::unique_ptr<StreamingBuilder> NewReservoir(
+    std::size_t d, const core::SketchParams& params, util::Rng& rng) {
+  return StreamSubsampleSketch().NewBuilder(d, params, rng);
+}
+
 TEST(ReservoirTest, SlotCountMatchesSubsample) {
   util::Rng rng(1);
-  ReservoirBuilder builder(12, EstParams(), rng);
-  EXPECT_EQ(builder.slot_count(),
-            SubsampleSketch::SampleCount(EstParams(), 12));
+  const auto builder = NewReservoir(12, EstParams(), rng);
+  builder->Observe(util::BitVector(12));
+  EXPECT_EQ(builder->Summary().size(),
+            SubsampleSketch::SampleCount(EstParams(), 12) * 12);
 }
 
 TEST(ReservoirTest, SummaryCompatibleWithSubsampleLoader) {
   util::Rng rng(2);
   const core::Database db = data::UniformRandom(300, 12, 0.4, rng);
-  ReservoirBuilder builder(12, EstParams(), rng);
-  for (std::size_t i = 0; i < db.num_rows(); ++i) builder.Observe(db.Row(i));
-  EXPECT_EQ(builder.rows_seen(), 300u);
-  const auto summary = builder.Finish();
+  const auto builder = NewReservoir(12, EstParams(), rng);
+  for (std::size_t i = 0; i < db.num_rows(); ++i) builder->Observe(db.Row(i));
+  EXPECT_EQ(builder->rows_seen(), 300u);
+  const auto summary = builder->Summary();
   SubsampleSketch algo;
   const auto est = algo.LoadEstimator(summary, EstParams(), 12, 300);
   // Smoke check: estimate is a frequency.
@@ -44,12 +53,12 @@ TEST(ReservoirTest, SummaryCompatibleWithSubsampleLoader) {
 
 TEST(ReservoirTest, SingleRowStreamAlwaysSampled) {
   util::Rng rng(3);
-  ReservoirBuilder builder(6, EstParams(), rng);
+  const auto builder = NewReservoir(6, EstParams(), rng);
   util::BitVector row(6);
   row.Set(2, true);
-  builder.Observe(row);
+  builder->Observe(row);
   const core::Database sample =
-      SubsampleSketch::DecodeSample(builder.Finish(), 6);
+      SubsampleSketch::DecodeSample(builder->Summary(), 6);
   for (std::size_t i = 0; i < sample.num_rows(); ++i) {
     EXPECT_EQ(sample.Row(i), row);
   }
@@ -70,12 +79,12 @@ TEST(ReservoirTest, SlotsAreUniformOverStream) {
   int counts[4] = {};
   int total = 0;
   for (int rep = 0; rep < 40; ++rep) {
-    ReservoirBuilder builder(4, p, rng);
+    const auto builder = NewReservoir(4, p, rng);
     for (int pass = 0; pass < 25; ++pass) {
-      for (const auto& row : distinct) builder.Observe(row);
+      for (const auto& row : distinct) builder->Observe(row);
     }
     const core::Database sample =
-        SubsampleSketch::DecodeSample(builder.Finish(), 4);
+        SubsampleSketch::DecodeSample(builder->Summary(), 4);
     for (std::size_t i = 0; i < sample.num_rows(); ++i) {
       for (int r = 0; r < 4; ++r) {
         if (sample.Row(i) == distinct[r]) {
@@ -96,10 +105,10 @@ TEST(ReservoirTest, StreamEstimateCloseToTrueFrequency) {
       data::PlantedItemsets(2000, 10, {{{2, 6}, 0.35}}, 0.05, rng);
   core::SketchParams p = EstParams();
   p.eps = 0.05;
-  ReservoirBuilder builder(10, p, rng);
-  for (std::size_t i = 0; i < db.num_rows(); ++i) builder.Observe(db.Row(i));
+  const auto builder = NewReservoir(10, p, rng);
+  for (std::size_t i = 0; i < db.num_rows(); ++i) builder->Observe(db.Row(i));
   SubsampleSketch algo;
-  const auto est = algo.LoadEstimator(builder.Finish(), p, 10, 2000);
+  const auto est = algo.LoadEstimator(builder->Summary(), p, 10, 2000);
   const core::Itemset t(10, {2, 6});
   EXPECT_NEAR(est->EstimateFrequency(t), db.Frequency(t), 0.08);
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
+#include <vector>
 
 namespace ifsketch::util {
 namespace {
@@ -149,6 +151,103 @@ TEST(RandomTest, ForkIndependence) {
     if (child.Next() == rng.Next()) ++equal;
   }
   EXPECT_LT(equal, 2);
+}
+
+// OneIn(t) must consume exactly the draws of UniformInt(t) and return
+// UniformInt(t) == 0, leaving the generator in the same state.
+void ExpectOneInMatchesUniformInt(std::uint64_t bound, std::uint64_t seed,
+                                  int draws) {
+  Rng a(seed);
+  Rng b(seed);
+  const OneIn keep(bound);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(keep(a), b.UniformInt(bound) == 0)
+        << "bound " << bound << " draw " << i;
+  }
+  const Rng::State sa = a.SaveState();
+  const Rng::State sb = b.SaveState();
+  for (int w = 0; w < 4; ++w) {
+    ASSERT_EQ(sa.s[w], sb.s[w]) << "bound " << bound;
+  }
+}
+
+TEST(RandomTest, OneInMatchesUniformIntDrawForDraw) {
+  std::vector<std::uint64_t> bounds = {1, 2, 3, ~std::uint64_t{0}};
+  for (int j = 1; j <= 63; ++j) {
+    const std::uint64_t p = std::uint64_t{1} << j;
+    bounds.push_back(p);
+    bounds.push_back(p - 1);
+    bounds.push_back(p + 1);
+  }
+  for (const std::uint64_t bound : bounds) {
+    ExpectOneInMatchesUniformInt(bound, bound ^ 0x5eed, 2000);
+  }
+  // Seeded random bounds of every magnitude, and small ones where a
+  // keep verdict is common.
+  Rng pick(77);
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t bound = pick.Next() >> pick.UniformInt(64);
+    ExpectOneInMatchesUniformInt(bound == 0 ? 1 : bound, pick.Next(), 2000);
+    ExpectOneInMatchesUniformInt(1 + pick.UniformInt(64), pick.Next(), 2000);
+  }
+}
+
+// The inverse of odd `a` modulo 2^64.
+std::uint64_t InverseMod64(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+// A generator whose next draw is `r`: xoshiro256** outputs
+// rotl(s[1] * 5, 7) * 9, which s[1] = rotr(r * 9^-1, 7) * 5^-1 inverts.
+Rng RngWhoseNextDrawIs(std::uint64_t r) {
+  const std::uint64_t s1 =
+      std::rotr(r * InverseMod64(9), 7) * InverseMod64(5);
+  Rng rng;
+  rng.RestoreState(Rng::State{{0x243f6a8885a308d3ULL, s1,
+                               0x13198a2e03707344ULL, 0xa4093822299f31d0ULL},
+                              false,
+                              0.0});
+  return rng;
+}
+
+TEST(RandomTest, OneInMatchesUniformIntOnMultiplesOfTheBound) {
+  // A random draw is almost never a multiple of a large bound, so the
+  // keep verdicts there are tested on crafted draws: multiples of the
+  // bound, their neighbours, and draws below the rejection threshold.
+  Rng pick(91);
+  std::vector<std::uint64_t> bounds = {1, 2, 3, 6, 10, 12, 1000,
+                                       ~std::uint64_t{0}};
+  for (int j = 1; j <= 63; ++j) {
+    bounds.push_back(std::uint64_t{1} << j);
+    bounds.push_back((std::uint64_t{1} << j) + 1);
+    bounds.push_back(3 * (std::uint64_t{1} << (j - 1)));
+  }
+  for (int i = 0; i < 100; ++i) bounds.push_back(pick.Next() >> (i % 64));
+  int kept = 0;
+  for (const std::uint64_t bound : bounds) {
+    if (bound == 0) continue;
+    const OneIn keep(bound);
+    const std::uint64_t top = ~std::uint64_t{0} / bound;
+    for (const std::uint64_t m :
+         {std::uint64_t{0}, std::uint64_t{1}, top, top - 1, top / 2,
+          pick.UniformInt(top + (top == ~std::uint64_t{0} ? 0 : 1))}) {
+      for (const std::uint64_t delta : {std::uint64_t{0}, std::uint64_t{1},
+                                        ~std::uint64_t{0}}) {
+        const std::uint64_t r = m * bound + delta;
+        ASSERT_EQ(RngWhoseNextDrawIs(r).Next(), r);
+        Rng a = RngWhoseNextDrawIs(r);
+        Rng b = RngWhoseNextDrawIs(r);
+        const bool verdict = keep(a);
+        ASSERT_EQ(verdict, b.UniformInt(bound) == 0)
+            << "bound " << bound << " draw " << r;
+        ASSERT_EQ(a.Next(), b.Next()) << "bound " << bound << " draw " << r;
+        kept += verdict ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(kept, 500);  // the crafted multiples really were kept
 }
 
 }  // namespace
