@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "data/generators.h"
 #include "engine.h"
 #include "util/kernels.h"
@@ -50,20 +51,11 @@
 namespace {
 
 using namespace ifsketch;
+using bench::Params;
 
 constexpr std::size_t kRows = 100000;
 constexpr std::size_t kColumns = 64;
 constexpr std::size_t kQueries = 10000;
-
-core::SketchParams Params() {
-  core::SketchParams p;
-  p.k = 3;
-  p.eps = 0.05;
-  p.delta = 0.05;
-  p.scope = core::Scope::kForAll;
-  p.answer = core::Answer::kEstimator;
-  return p;
-}
 
 const Engine& SharedEngine() {
   static const Engine* engine = [] {
@@ -78,16 +70,7 @@ const Engine& SharedEngine() {
 
 std::vector<core::Itemset> Queries(std::size_t count) {
   util::Rng rng(72);
-  std::vector<core::Itemset> queries;
-  queries.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    core::Itemset t(kColumns);
-    while (t.size() < 3) {
-      t.Add(static_cast<std::size_t>(rng.UniformInt(kColumns)));
-    }
-    queries.push_back(std::move(t));
-  }
-  return queries;
+  return bench::RandomQueries(kColumns, count, rng);
 }
 
 // ------------------------------------------------- Google Benchmark mode
@@ -156,13 +139,6 @@ BENCHMARK(BM_EngineMineBatched)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------ JSON sweep mode
 
-struct SweepRow {
-  std::string kernel;
-  std::size_t threads;
-  std::size_t batch;
-  double ns_per_query;
-};
-
 // Times `body` (one "run" answering `per_run` queries) until at least
 // ~100ms or 3 runs have elapsed, after one warmup, and returns ns per
 // query.
@@ -187,26 +163,12 @@ double TimeNsPerQuery(std::size_t per_run, const Body& body) {
          static_cast<double>(per_run == 0 ? 1 : per_run);
 }
 
-std::vector<std::size_t> ParseList(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t next = csv.find(',', pos);
-    if (next == std::string::npos) next = csv.size();
-    const std::string token = csv.substr(pos, next - pos);
-    const long v = std::strtol(token.c_str(), nullptr, 10);
-    if (v > 0) out.push_back(static_cast<std::size_t>(v));
-    pos = next + 1;
-  }
-  return out;
-}
-
 // One full sweep on the currently active dispatch tier; `suffix` is ""
 // (legacy row names) or "@tier" when --kernel is sweeping tiers.
 void SweepOnePass(const std::string& suffix,
                   const std::vector<std::size_t>& thread_counts,
                   const std::vector<std::size_t>& batch_sizes,
-                  std::vector<SweepRow>* rows) {
+                  std::vector<bench::Row>* rows) {
   const Engine& engine = SharedEngine();
   for (std::size_t batch : batch_sizes) {
     const auto queries = Queries(batch);
@@ -250,7 +212,7 @@ int RunJsonSweep(const std::string& out_path,
                  const std::vector<std::size_t>& thread_counts,
                  const std::vector<std::size_t>& batch_sizes,
                  const std::vector<std::string>& kernel_tiers) {
-  std::vector<SweepRow> rows;
+  std::vector<bench::Row> rows;
   if (kernel_tiers.empty()) {
     SweepOnePass("", thread_counts, batch_sizes, &rows);
   } else {
@@ -269,42 +231,21 @@ int RunJsonSweep(const std::string& out_path,
         util::SupportedKernelTiers().back());
   }
 
-  std::FILE* out =
-      out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(out,
-                 "  {\"kernel\": \"%s\", \"threads\": %zu, \"batch\": %zu, "
-                 "\"ns_per_query\": %.1f}%s\n",
-                 rows[i].kernel.c_str(), rows[i].threads, rows[i].batch,
-                 rows[i].ns_per_query, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  if (out != stdout) std::fclose(out);
-  return 0;
+  return bench::WriteRows(rows, out_path) ? 0 : 1;
 }
 
 // Splits a comma-separated tier list; "all" expands to every tier this
 // build+CPU supports.
 std::vector<std::string> ParseKernelList(const std::string& csv) {
   std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t next = csv.find(',', pos);
-    if (next == std::string::npos) next = csv.size();
-    const std::string token = csv.substr(pos, next - pos);
-    if (token == "all") {
-      for (util::KernelTier tier : util::SupportedKernelTiers()) {
-        out.emplace_back(util::KernelTierName(tier));
-      }
-    } else if (!token.empty()) {
+  for (const std::string& token : bench::SplitList(csv)) {
+    if (token != "all") {
       out.push_back(token);
+      continue;
     }
-    pos = next + 1;
+    for (util::KernelTier tier : util::SupportedKernelTiers()) {
+      out.emplace_back(util::KernelTierName(tier));
+    }
   }
   return out;
 }
@@ -323,13 +264,12 @@ int main(int argc, char** argv) {
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
+    if (bench::ConsumeJsonFlag(argc, argv, &i, &out_path)) {
       json = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') out_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      thread_counts = ParseList(argv[++i]);
+      thread_counts = bench::ParseList(argv[++i]);
     } else if (arg == "--batch" && i + 1 < argc) {
-      batch_sizes = ParseList(argv[++i]);
+      batch_sizes = bench::ParseList(argv[++i]);
     } else if (arg == "--kernel" && i + 1 < argc) {
       kernel_tiers = ParseKernelList(argv[++i]);
       if (kernel_tiers.empty()) {

@@ -37,16 +37,15 @@
 // The record/counter numbers are per *operation*; batch reports how
 // many operations the timed loop ran.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "data/generators.h"
 #include "engine.h"
 #include "obs/metrics.h"
@@ -56,46 +55,9 @@
 namespace {
 
 using namespace ifsketch;
-
-core::SketchParams Params() {
-  core::SketchParams p;
-  p.k = 3;
-  p.eps = 0.05;
-  p.delta = 0.05;
-  p.scope = core::Scope::kForAll;
-  p.answer = core::Answer::kEstimator;
-  return p;
-}
-
-double ElapsedNs(std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-struct Row {
-  std::string kernel;
-  std::size_t threads;
-  std::size_t batch;
-  double ns_per_query;
-};
-
-/// The largest rank j (1-based) such that the j-th smallest of n samples
-/// is a one-sided `confidence` lower bound on their median:
-/// P(Binomial(n, 1/2) >= j) >= confidence. Needs n <= 1000 (2^-n must not
-/// underflow).
-std::size_t MedianLowerBoundRank(std::size_t n, double confidence) {
-  double pmf = std::ldexp(1.0, -static_cast<int>(n));  // P(B = 0)
-  double tail = 1.0 - pmf;                              // P(B >= 1)
-  std::size_t j = 1;
-  for (; j < n; ++j) {
-    pmf *= static_cast<double>(n - j + 1) / static_cast<double>(j);
-    if (tail - pmf < confidence) break;  // P(B >= j + 1) too small
-    tail -= pmf;
-  }
-  return j;
-}
+using bench::Params;
+using bench::ElapsedNs;
+using bench::Row;
 
 /// Populates `registry` with a serving-shaped metric set: op counters,
 /// stage histograms, per-pod and per-sketch series -- what Snapshot and
@@ -151,9 +113,8 @@ int main(int argc, char** argv) {
   std::size_t threads = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
-      if (i + 1 < argc && argv[i + 1][0] != '-') out_path = argv[++i];
-    } else if (arg == "--rounds" && i + 1 < argc) {
+    if (bench::ConsumeJsonFlag(argc, argv, &i, &out_path)) continue;
+    if (arg == "--rounds" && i + 1 < argc) {
       rounds = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--batch" && i + 1 < argc) {
       batch = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -278,9 +239,9 @@ int main(int argc, char** argv) {
   // the side that runs first alternating.
   constexpr std::size_t kPairs = 400;
   constexpr std::size_t kBlockRounds = 10;
+  bench::PairedRatio paired;
   double baseline_ns = 0.0;
   double steady_ns = 0.0;
-  std::vector<double> overheads;  // per pair: steady / baseline - 1
   {
     util::Rng rng(7);
     const core::Database db =
@@ -290,14 +251,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: Engine::Build failed\n");
       return 1;
     }
-    std::vector<core::Itemset> queries;
-    for (std::size_t i = 0; i < batch; ++i) {
-      core::Itemset t(32);
-      while (t.size() < 3) {
-        t.Add(static_cast<std::size_t>(rng.UniformInt(32)));
-      }
-      queries.push_back(std::move(t));
-    }
+    const auto queries = bench::RandomQueries(32, batch, rng);
     obs::MetricsRegistry registry;
     obs::Counter* requests = registry.GetCounter(
         obs::LabeledName("serve_requests_total", "op", "estimate"));
@@ -322,51 +276,19 @@ int main(int argc, char** argv) {
     // Warm both paths once.
     baseline_block();
     steady_block();
-    double base_total = 0.0;
-    double steady_total = 0.0;
-    for (std::size_t pair = 0; pair < kPairs; ++pair) {
-      double base = 0.0;
-      double steady = 0.0;
-      if (pair % 2 == 0) {
-        base = baseline_block();
-        steady = steady_block();
-      } else {
-        steady = steady_block();
-        base = baseline_block();
-      }
-      base_total += base;
-      steady_total += steady;
-      overheads.push_back(steady / base - 1.0);
-    }
+    paired = bench::RunPairedBlocks(kPairs, baseline_block, steady_block);
     const double denom = static_cast<double>(kPairs * kBlockRounds) *
                          static_cast<double>(batch);
-    baseline_ns = base_total / denom;
-    steady_ns = steady_total / denom;
+    baseline_ns = paired.baseline_ns / denom;
+    steady_ns = paired.candidate_ns / denom;
     rows.push_back({"query_baseline", 1, batch, baseline_ns});
     rows.push_back({"query_steady", 1, batch, steady_ns});
   }
 
-  std::FILE* out =
-      out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(out,
-                 "  {\"kernel\": \"%s\", \"threads\": %zu, \"batch\": %zu, "
-                 "\"ns_per_query\": %.2f}%s\n",
-                 rows[i].kernel.c_str(), rows[i].threads, rows[i].batch,
-                 rows[i].ns_per_query, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  if (out != stdout) std::fclose(out);
+  if (!bench::WriteRows(rows, out_path, 2)) return 1;
 
-  std::sort(overheads.begin(), overheads.end());
-  const double median = overheads[overheads.size() / 2];
-  const double lower =
-      overheads[MedianLowerBoundRank(overheads.size(), 0.99) - 1];
+  const double median = paired.median - 1.0;
+  const double lower = paired.lower_bound - 1.0;
   std::fprintf(stderr,
                "query_steady: %.2f ns/query vs baseline %.2f ns/query; "
                "per-pair overhead median %+.2f%%, 99%% lower bound %+.2f%% "

@@ -67,6 +67,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "data/generators.h"
 #include "engine.h"
 #include "obs/metrics.h"
@@ -81,20 +82,13 @@
 namespace {
 
 using namespace ifsketch;
+using bench::Params;
+using bench::ElapsedNs;
+using bench::Row;
 
 constexpr std::size_t kRows = 50000;
 constexpr std::size_t kColumns = 64;
 constexpr char kSketchName[] = "bench";
-
-core::SketchParams Params() {
-  core::SketchParams p;
-  p.k = 3;
-  p.eps = 0.05;
-  p.delta = 0.05;
-  p.scope = core::Scope::kForAll;
-  p.answer = core::Answer::kEstimator;
-  return p;
-}
 
 /// Per-client query batch as raw attribute lists (what the client sends)
 /// plus the equivalent Itemsets (what the direct kernel consumes).
@@ -106,52 +100,17 @@ struct ClientBatch {
 ClientBatch MakeBatch(std::size_t count, std::uint64_t seed) {
   util::Rng rng(seed);
   ClientBatch batch;
+  batch.itemsets = bench::RandomQueries(kColumns, count, rng);
   batch.wire.reserve(count);
-  batch.itemsets.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    core::Itemset t(kColumns);
-    while (t.size() < 3) {
-      t.Add(static_cast<std::size_t>(rng.UniformInt(kColumns)));
-    }
+  for (const core::Itemset& t : batch.itemsets) {
     std::vector<std::uint32_t> attrs;
     for (std::size_t a : t.Attributes()) {
       attrs.push_back(static_cast<std::uint32_t>(a));
     }
     batch.wire.push_back(std::move(attrs));
-    batch.itemsets.push_back(std::move(t));
   }
   return batch;
 }
-
-double ElapsedNs(std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-std::vector<std::size_t> ParseList(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t next = csv.find(',', pos);
-    if (next == std::string::npos) next = csv.size();
-    const long v = std::strtol(csv.substr(pos, next - pos).c_str(),
-                               nullptr, 10);
-    if (v > 0) out.push_back(static_cast<std::size_t>(v));
-    pos = next + 1;
-  }
-  return out;
-}
-
-struct Row {
-  std::string kernel;
-  std::size_t clients;
-  std::size_t batch;
-  double ns_per_query;
-  double p50_ns;  ///< per-query request-latency median
-  double p99_ns;  ///< per-query request-latency 99th percentile
-};
 
 /// Request latencies folded into the shared obs histogram layout. The
 /// quantiles below then come from obs::HistogramSnapshot::Quantile --
@@ -256,18 +215,16 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> batch_sizes = {1000};
   std::vector<std::size_t> conn_counts;  // empty = no connection sweep
   std::size_t rounds = 50;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') out_path = argv[++i];
-    } else if (arg == "--clients" && i + 1 < argc) {
-      client_counts = ParseList(argv[++i]);
+    // The sweep always runs; --json only redirects output.
+    if (bench::ConsumeJsonFlag(argc, argv, &i, &out_path)) continue;
+    if (arg == "--clients" && i + 1 < argc) {
+      client_counts = bench::ParseList(argv[++i]);
     } else if (arg == "--batch" && i + 1 < argc) {
-      batch_sizes = ParseList(argv[++i]);
+      batch_sizes = bench::ParseList(argv[++i]);
     } else if (arg == "--conns" && i + 1 < argc) {
-      conn_counts = ParseList(argv[++i]);
+      conn_counts = bench::ParseList(argv[++i]);
     } else if (arg == "--rounds" && i + 1 < argc) {
       rounds = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
@@ -278,7 +235,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  (void)json;  // the sweep always runs; --json only redirects output
   if (client_counts.empty() || batch_sizes.empty() || rounds == 0) {
     std::fprintf(stderr, "error: --clients/--batch/--rounds need "
                          "positive values\n");
@@ -589,23 +545,5 @@ int main(int argc, char** argv) {
     reactor.WaitDrained();
   }
 
-  std::FILE* out =
-      out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(out,
-                 "  {\"kernel\": \"%s\", \"threads\": %zu, \"batch\": %zu, "
-                 "\"ns_per_query\": %.1f, \"p50_ns\": %.1f, "
-                 "\"p99_ns\": %.1f}%s\n",
-                 rows[i].kernel.c_str(), rows[i].clients, rows[i].batch,
-                 rows[i].ns_per_query, rows[i].p50_ns, rows[i].p99_ns,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  if (out != stdout) std::fclose(out);
-  return 0;
+  return bench::WriteRows(rows, out_path) ? 0 : 1;
 }

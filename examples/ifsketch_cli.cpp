@@ -61,17 +61,10 @@ int Usage() {
                "best for this CPU;\n"
                "                  answers are bit-identical at every "
                "tier)\n"
-               "  --load MODE     sketch load path: auto (default; "
-               "zero-copy mmap for\n"
-               "                  arena v2 files, decoded copy for v1), "
-               "mapped (require\n"
-               "                  zero-copy), or copied (read the file "
-               "into memory and\n"
-               "                  copy the summary out); every path runs "
-               "the same parser\n"
-               "                  and answers bit-identically -- `info` "
-               "prints which one\n"
-               "                  was used and the file format version)\n"
+               "\n`query`, `info` and `mine` map arena v2 files and query "
+               "them in place\n"
+               "(zero-copy) and decode legacy v1 files; `info` prints which "
+               "happened.\n"
                "\nregistered algorithms (for --algo):\n");
   for (const auto& name : Engine::KnownAlgorithms()) {
     std::fprintf(stderr, "  %s\n", name.c_str());
@@ -151,10 +144,6 @@ int Sketch(const std::string& db_path, const std::string& out_path,
 constexpr int kExitNotFound = 3;
 constexpr int kExitMalformed = 4;
 
-// How `query`/`info`/`mine` acquire sketch bytes (--load): the zero-copy
-// mapped path, an owned copy, or whichever fits the file.
-Engine::LoadMode g_load_mode = Engine::LoadMode::kAuto;
-
 /// Reopens a sketch file through the registry, reporting each failure
 /// stage distinctly: missing file, malformed bytes (with the byte offset
 /// of the first invalid field), unknown producer, corrupt payload. On
@@ -171,7 +160,7 @@ std::optional<Engine> OpenOrReport(const std::string& sk_path,
   }
   in.close();
   std::string error;
-  auto engine = Engine::Open(sk_path, g_load_mode, &error);
+  auto engine = Engine::Open(sk_path, &error);
   if (!engine.has_value()) {
     // Engine::Open's diagnostic carries the path and, for validation
     // failures, the byte offset of the first bad field.
@@ -305,20 +294,6 @@ int main(int argc, char** argv) {
       }
       util::ThreadPool::SetDefaultThreadCount(
           static_cast<std::size_t>(threads));
-    } else if (args[i] == "--load") {
-      if (args[i + 1] == "auto") {
-        g_load_mode = Engine::LoadMode::kAuto;
-      } else if (args[i + 1] == "mapped") {
-        g_load_mode = Engine::LoadMode::kMapped;
-      } else if (args[i + 1] == "copied") {
-        g_load_mode = Engine::LoadMode::kCopied;
-      } else {
-        std::fprintf(stderr,
-                     "error: --load must be auto, mapped or copied (got "
-                     "\"%s\")\n",
-                     args[i + 1].c_str());
-        return 2;
-      }
     } else if (args[i] == "--kernel") {
       if (!util::SetKernelTier(args[i + 1])) {
         std::fprintf(stderr,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -20,42 +21,80 @@ bool SharesAprioriPrefix(std::span<const std::uint32_t> a,
          std::equal(a.begin(), a.end() - 1, b.begin());
 }
 
-// Transposes a 64x64 bit block in place: bit j of block[i] trades places
-// with bit i of block[j]. Six rounds of block swaps, halving the block
-// width each round (Hacker's Delight 7-3, in LSB-first bit order).
-void Transpose64(std::uint64_t* block) {
-  std::uint64_t mask = 0x00000000ffffffffULL;
-  for (std::size_t width = 32; width != 0;
-       width >>= 1, mask ^= mask << width) {
-    for (std::size_t k = 0; k < 64; k = ((k | width) + 1) & ~width) {
-      const std::uint64_t t = ((block[k] >> width) ^ block[k | width]) & mask;
-      block[k] ^= t << width;
-      block[k | width] ^= t;
+// One round of the 64x64 transpose: swaps the off-diagonal kWidth-bit
+// sub-blocks of every 2*kWidth-row band. The contiguous inner loop lets
+// the compiler vectorize the wide rounds.
+template <std::size_t kWidth, std::uint64_t kMask>
+void SwapRound(std::uint64_t* block) {
+  for (std::size_t band = 0; band < 64; band += 2 * kWidth) {
+    for (std::size_t k = band; k < band + kWidth; ++k) {
+      const std::uint64_t t =
+          ((block[k] >> kWidth) ^ block[k + kWidth]) & kMask;
+      block[k] ^= t << kWidth;
+      block[k + kWidth] ^= t;
     }
   }
 }
 
+// Transposes a 64x64 bit block in place: bit j of block[i] trades places
+// with bit i of block[j]. Six rounds of block swaps, halving the block
+// width each round (Hacker's Delight 7-3, in LSB-first bit order).
+void Transpose64(std::uint64_t* block) {
+  SwapRound<32, 0x00000000ffffffffULL>(block);
+  SwapRound<16, 0x0000ffff0000ffffULL>(block);
+  SwapRound<8, 0x00ff00ff00ff00ffULL>(block);
+  SwapRound<4, 0x0f0f0f0f0f0f0f0fULL>(block);
+  SwapRound<2, 0x3333333333333333ULL>(block);
+  SwapRound<1, 0x5555555555555555ULL>(block);
+}
+
 // Transposes n rows of d bits into d columns, 64x64 bits at a time;
-// row_bits(i, attr, width) returns bits [attr, attr+width) of row i.
+// row_bits(i, attr, width) returns bits [attr, attr+width) of row i, and
+// store(j, w, word) receives word w of column j. Attributes go in lanes
+// of `lane` bits (d rounded up to a power of two, at most 64), so one
+// 64x64 transpose turns 64/lane groups of 64 rows, packed side by side,
+// into lane-wide runs of column words: row i of group g sits at bits
+// [g*lane, g*lane + width) of block[i] and comes out as bit i of
+// block[g*lane + j], for each attribute j of the lane.
+template <typename RowBits, typename Store>
+void TransposeBlocks(std::size_t n, std::size_t d, RowBits row_bits,
+                     Store store) {
+  const std::size_t lane = d >= 64 ? 64 : std::bit_ceil(d);
+  const std::size_t groups = 64 / lane;
+  const std::size_t row_words = (n + 63) / 64;
+  std::uint64_t block[64];
+  for (std::size_t attr = 0; attr < d; attr += lane) {
+    const std::size_t width = d - attr < lane ? d - attr : lane;
+    for (std::size_t word = 0; word < row_words; word += groups) {
+      const std::size_t used =
+          row_words - word < groups ? row_words - word : groups;
+      std::fill(block, block + 64, 0);
+      for (std::size_t g = 0; g < used; ++g) {
+        const std::size_t first = (word + g) * 64;
+        const std::size_t rows = n - first < 64 ? n - first : 64;
+        for (std::size_t i = 0; i < rows; ++i) {
+          block[i] |= row_bits(first + i, attr, width) << (g * lane);
+        }
+      }
+      Transpose64(block);
+      for (std::size_t g = 0; g < used; ++g) {
+        for (std::size_t j = 0; j < width; ++j) {
+          store(attr + j, word + g, block[g * lane + j]);
+        }
+      }
+    }
+  }
+}
+
+// TransposeBlocks into one owned n-bit vector per column.
 template <typename RowBits>
 std::vector<util::BitVector> TransposeRows(std::size_t n, std::size_t d,
                                            RowBits row_bits) {
   std::vector<std::vector<std::uint64_t>> words(
       d, std::vector<std::uint64_t>((n + 63) / 64, 0));
-  std::uint64_t block[64];
-  for (std::size_t first = 0; first < n; first += 64) {
-    const std::size_t rows = n - first < 64 ? n - first : 64;
-    for (std::size_t attr = 0; attr < d; attr += 64) {
-      const std::size_t width = d - attr < 64 ? d - attr : 64;
-      for (std::size_t i = 0; i < 64; ++i) {
-        block[i] = i < rows ? row_bits(first + i, attr, width) : 0;
-      }
-      Transpose64(block);
-      for (std::size_t j = 0; j < width; ++j) {
-        words[attr + j][first / 64] = block[j];
-      }
-    }
-  }
+  TransposeBlocks(n, d, row_bits,
+                  [&words](std::size_t j, std::size_t w,
+                           std::uint64_t word) { words[j][w] = word; });
   std::vector<util::BitVector> columns;
   for (auto& column : words) {
     columns.push_back(util::BitVector::AdoptWords(std::move(column), n));
@@ -110,6 +149,22 @@ ColumnStore ColumnStore::FromRowMajorBits(const util::BitVector& bits,
                     [&](std::size_t i, std::size_t attr, std::size_t width) {
                       return bits.GetBits(starts[i] + attr, width);
                     }));
+}
+
+void ColumnStore::TransposeRowMajorBits(const util::BitVector& bits,
+                                        std::size_t d, std::uint64_t* out,
+                                        std::size_t stride_words) {
+  IFSKETCH_CHECK(d > 0 && bits.size() % d == 0);
+  const std::size_t rows = bits.size() / d;
+  IFSKETCH_CHECK_GE(stride_words, (rows + 63) / 64);
+  TransposeBlocks(
+      rows, d,
+      [&bits, d](std::size_t i, std::size_t attr, std::size_t width) {
+        return bits.GetBits(i * d + attr, width);
+      },
+      [out, stride_words](std::size_t j, std::size_t w, std::uint64_t word) {
+        out[j * stride_words + w] = word;
+      });
 }
 
 std::size_t ColumnStore::SupportCount(const Itemset& t) const {

@@ -78,6 +78,14 @@ class ColumnStore {
     return FromRowMajorBits(bits, d, {RowRun{0, bits.size() / d, d}});
   }
 
+  /// The columns FromRowMajorBits(bits, d) would hold, written straight
+  /// into caller storage: column j's ceil(rows/64) words at
+  /// out[j*stride_words ..], the layout FromColumnWords adopts. Words
+  /// between a column's end and the next stride are left untouched.
+  static void TransposeRowMajorBits(const util::BitVector& bits,
+                                    std::size_t d, std::uint64_t* out,
+                                    std::size_t stride_words);
+
   /// View mode: borrows `d` already-transposed columns laid out at
   /// `stride_words`-word intervals starting at `base` (column j's words
   /// are base[j*stride .. j*stride + ceil(rows/64))), copying nothing --

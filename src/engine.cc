@@ -18,6 +18,31 @@ std::string FormatSketchError(const std::string& path,
          error.message;
 }
 
+/// Resolves the algorithm `file` names and checks that its summary is
+/// the size that algorithm emits; nullptr with the reason in *error
+/// otherwise. A header can be well-formed while its payload is not the
+/// algorithm's: Build() contractually emits exactly PredictedSizeBits,
+/// so anything else would only abort later inside a loader CHECK.
+std::unique_ptr<core::SketchAlgorithm> ResolvePayload(
+    const sketch::SketchFile& file, std::string* error) {
+  auto algo = sketch::ResolveAlgorithm(file);
+  if (algo == nullptr) {
+    SetError(error, "unknown algorithm \"" + file.algorithm + "\"");
+    return nullptr;
+  }
+  const std::size_t predicted =
+      algo->PredictedSizeBits(file.n, file.d, file.params);
+  if (file.summary.size() != predicted) {
+    SetError(error, "summary payload is " +
+                        std::to_string(file.summary.size()) + " bits but " +
+                        file.algorithm + " would emit " +
+                        std::to_string(predicted) +
+                        " for this shape (corrupt or tampered file)");
+    return nullptr;
+  }
+  return algo;
+}
+
 }  // namespace
 
 std::optional<Engine> Engine::Build(const core::Database& db,
@@ -34,45 +59,23 @@ std::optional<Engine> Engine::Build(const core::Database& db,
   file.n = db.num_rows();
   file.d = db.num_columns();
   file.summary = algo->Build(db, params, rng);
-  return Engine(std::move(file),
-                std::shared_ptr<const core::SketchAlgorithm>(std::move(algo)));
+  return FromFile(file);
 }
 
-std::optional<Engine> Engine::FromParts(sketch::SketchFile file,
-                                        LoadPath load_path,
-                                        std::string* error) {
-  auto algo = sketch::ResolveAlgorithm(file);
-  if (algo == nullptr) {
-    SetError(error, "unknown algorithm \"" + file.algorithm + "\"");
-    return std::nullopt;
-  }
-  // A header can be well-formed while its payload is not the algorithm's:
-  // Build() contractually emits exactly PredictedSizeBits, so anything
-  // else would only abort later inside a loader CHECK. Reject it here.
-  const std::size_t predicted =
-      algo->PredictedSizeBits(file.n, file.d, file.params);
-  if (file.summary.size() != predicted) {
-    SetError(error, "summary payload is " +
-                        std::to_string(file.summary.size()) + " bits but " +
-                        file.algorithm + " would emit " +
-                        std::to_string(predicted) +
-                        " for this shape (corrupt or tampered file)");
-    return std::nullopt;
-  }
-  Engine engine(std::move(file), std::shared_ptr<const core::SketchAlgorithm>(
-                                     std::move(algo)));
-  engine.load_path_ = load_path;
-  return engine;
+std::optional<Engine> Engine::FromFile(const sketch::SketchFile& file) {
+  auto algo = ResolvePayload(file, nullptr);
+  auto image = algo == nullptr ? nullptr : sketch::WriteSketchImage(file);
+  if (image == nullptr) return std::nullopt;
+  auto view = sketch::ViewSketchImage(std::move(image));
+  // The writer emits only what the parser accepts.
+  IFSKETCH_CHECK(view.has_value());
+  return Engine(*std::move(view), std::move(algo));
 }
 
-std::optional<Engine> Engine::Open(const std::string& path, LoadMode mode,
+std::optional<Engine> Engine::Open(const std::string& path,
                                    std::string* error) {
-  // One parser for every mode: the modes differ only in where the image
-  // comes from and whether the summary stays a view into it.
   std::string open_error;
-  auto image = mode == LoadMode::kCopied
-                   ? util::MappedFile::OpenBuffered(path, &open_error)
-                   : util::MappedFile::Open(path, &open_error);
+  auto image = util::MappedFile::Open(path, &open_error);
   if (image == nullptr) {
     SetError(error, open_error);
     return std::nullopt;
@@ -83,50 +86,27 @@ std::optional<Engine> Engine::Open(const std::string& path, LoadMode mode,
     SetError(error, FormatSketchError(path, parse_error));
     return std::nullopt;
   }
-  const bool legacy = view->file.version == sketch::arena::kVersionLegacy;
-  if (legacy && mode == LoadMode::kMapped) {
-    SetError(error, path + ": legacy v1 file has no arena sections; " +
-                        "mapped load needs v2 (re-save to upgrade)");
+  std::string reason;
+  auto algo = ResolvePayload(view->file, &reason);
+  if (algo == nullptr) {
+    SetError(error, path + ": " + reason);
     return std::nullopt;
   }
-  const bool mapped = !legacy && mode != LoadMode::kCopied;
-  sketch::SketchFile file = std::move(view->file);
-  if (!mapped && file.summary.is_view()) {
-    // Copied load: own the bits and drop the image with its column
-    // section, so queries run the same decode loaders as built sketches.
-    file.summary = util::BitVector(file.summary);
-  }
-  auto engine = FromParts(std::move(file),
-                          mapped ? LoadPath::kMapped : LoadPath::kCopied,
-                          error);
-  if (!engine.has_value()) {
-    if (error != nullptr) *error = path + ": " + *error;
-    return std::nullopt;
-  }
-  if (mapped) {
-    engine->mapping_ = std::move(view->image);
-    engine->columns_ = view->columns;
-  }
-  return engine;
-}
-
-std::optional<Engine> Engine::FromFile(sketch::SketchFile file) {
-  // In-memory adoption: never touched disk, so it reports kBuilt unless
-  // the caller's file says it was deserialized (version != 0).
-  const LoadPath path =
-      file.version == 0 ? LoadPath::kBuilt : LoadPath::kCopied;
-  return FromParts(std::move(file), path, nullptr);
+  // A v1 payload was decoded into owned bits; nothing borrows the image.
+  if (!view->file.summary.is_view()) view->image.reset();
+  return Engine(*std::move(view), std::move(algo));
 }
 
 bool Engine::Save(const std::string& path) const {
-  return sketch::SaveSketchFile(path, file_);
+  return sketch::SaveSketchFile(path, view_->file);
 }
 
 bool Engine::Save(const std::string& path, std::string* error,
                   sketch::SketchChecksum checksum) const {
   sketch::SketchError detail;
-  if (sketch::SaveSketchFile(path, file_, sketch::arena::kVersionArena,
-                             checksum, &detail)) {
+  if (sketch::SaveSketchFile(path, view_->file,
+                             sketch::arena::kVersionArena, checksum,
+                             &detail)) {
     return true;
   }
   if (error != nullptr) *error = detail.message;
@@ -138,49 +118,52 @@ std::vector<std::string> Engine::KnownAlgorithms() {
 }
 
 std::size_t Engine::resident_bytes() const {
-  if (mapping_ != nullptr) return mapping_->size();
-  return (file_.summary.size() + 7) / 8;
+  if (view_->image != nullptr) return view_->image->size();
+  return (view_->file.summary.size() + 7) / 8;
+}
+
+bool Engine::AdoptsColumns() const {
+  return view_->columns.has_value() &&
+         algo_->HasRowMajorPayload(view_->file.params);
 }
 
 core::ColumnStore Engine::BorrowedColumns() const {
-  IFSKETCH_CHECK(columns_.has_value());
-  return core::ColumnStore::FromColumnWords(columns_->words, columns_->rows,
-                                            columns_->d,
-                                            columns_->stride_words);
+  const sketch::ArenaColumns& columns = *view_->columns;
+  return core::ColumnStore::FromColumnWords(columns.words, columns.rows,
+                                            columns.d, columns.stride_words);
 }
 
 const core::FrequencyEstimator& Engine::estimator() const {
-  std::call_once(views_->estimator_once, [this] {
+  std::call_once(query_views_->estimator_once, [this] {
+    const sketch::SketchFile& file = view_->file;
     // The estimator view only exists for estimator-flavored summaries
     // (e.g. RELEASE-ANSWERS stores single decision bits otherwise).
-    IFSKETCH_CHECK(file_.params.answer == core::Answer::kEstimator);
-    if (columns_.has_value() && algo_->HasRowMajorPayload(file_.params)) {
-      // Zero-copy: adopt the mapped column section, no decode pass.
-      views_->estimator = algo_->LoadEstimatorFromColumns(
-          BorrowedColumns(), file_.summary, file_.params, file_.d, file_.n);
-    } else {
-      views_->estimator = algo_->LoadEstimator(file_.summary, file_.params,
-                                               file_.d, file_.n);
-    }
+    IFSKETCH_CHECK(file.params.answer == core::Answer::kEstimator);
+    query_views_->estimator =
+        AdoptsColumns()
+            ? algo_->LoadEstimatorFromColumns(BorrowedColumns(), file.summary,
+                                              file.params, file.d, file.n)
+            : algo_->LoadEstimator(file.summary, file.params, file.d,
+                                   file.n);
   });
-  return *views_->estimator;
+  return *query_views_->estimator;
 }
 
 const core::FrequencyIndicator& Engine::indicator() const {
-  std::call_once(views_->indicator_once, [this] {
-    if (columns_.has_value() && algo_->HasRowMajorPayload(file_.params)) {
-      views_->indicator = algo_->LoadIndicatorFromColumns(
-          BorrowedColumns(), file_.summary, file_.params, file_.d, file_.n);
-    } else {
-      views_->indicator = algo_->LoadIndicator(file_.summary, file_.params,
-                                               file_.d, file_.n);
-    }
+  std::call_once(query_views_->indicator_once, [this] {
+    const sketch::SketchFile& file = view_->file;
+    query_views_->indicator =
+        AdoptsColumns()
+            ? algo_->LoadIndicatorFromColumns(BorrowedColumns(), file.summary,
+                                              file.params, file.d, file.n)
+            : algo_->LoadIndicator(file.summary, file.params, file.d,
+                                   file.n);
   });
-  return *views_->indicator;
+  return *query_views_->indicator;
 }
 
 bool Engine::supports_query_size(std::size_t size) const {
-  return algo_->SupportsQuerySize(size, file_.params);
+  return algo_->SupportsQuerySize(size, params());
 }
 
 bool Engine::supports_query_sizes(const core::QueryBatch& batch) const {
@@ -198,7 +181,7 @@ double Engine::estimate(const core::Itemset& t) const {
 
 void Engine::estimate_many(const core::QueryBatch& batch,
                            std::vector<double>* answers) const {
-  IFSKETCH_CHECK(batch.empty() || batch.universe() == file_.d);
+  IFSKETCH_CHECK(batch.empty() || batch.universe() == d());
   estimator().EstimateMany(batch, answers);
 }
 
@@ -213,7 +196,7 @@ bool Engine::is_frequent(const core::Itemset& t) const {
 
 void Engine::are_frequent(const core::QueryBatch& batch,
                           std::vector<bool>* answers) const {
-  IFSKETCH_CHECK(batch.empty() || batch.universe() == file_.d);
+  IFSKETCH_CHECK(batch.empty() || batch.universe() == d());
   indicator().AreFrequent(batch, answers);
 }
 
@@ -229,34 +212,30 @@ std::vector<mining::FrequentItemset> Engine::mine(
   for (std::size_t size = 1; size <= options.max_size; ++size) {
     IFSKETCH_CHECK(supports_query_size(size));
   }
-  return mining::MineWithEstimatorBatched(estimator(), file_.d, options);
+  return mining::MineWithEstimatorBatched(estimator(), d(), options);
 }
 
 sketch::EnvelopeReport Engine::envelope() const {
-  return sketch::NaiveEnvelope(file_.n, file_.d, file_.params);
+  return sketch::NaiveEnvelope(n(), d(), params());
 }
 
 std::string Engine::info() const {
   const sketch::EnvelopeReport env = envelope();
-  const char* format =
-      file_.version == sketch::arena::kVersionArena
-          ? "IFSK v2 (arena sections)"
-          : (file_.version == sketch::arena::kVersionLegacy
-                 ? "IFSK v1 (byte-packed)"
-                 : "in-memory (not loaded from a file)");
-  // Distinguish a true mmap from MappedFile's read-whole-file fallback:
-  // both serve zero-copy views over one aligned image, but only the
-  // former shares page-cache residency -- operators confirming zero-copy
-  // should see which they got.
+  const sketch::SketchFile& file = view_->file;
+  const char* format = file.version == sketch::arena::kVersionArena
+                           ? "IFSK v2 (arena sections)"
+                           : "IFSK v1 (byte-packed)";
+  // Where the queried bits live: the file's own page-cache pages (what
+  // operators confirming zero-copy look for), a private image (built,
+  // published, or a file read without mmap), or owned bits decoded from
+  // a v1 payload.
   const char* path =
-      load_path_ == LoadPath::kMapped
-          ? (mapping_ != nullptr && mapping_->is_mapped()
+      view_->image == nullptr
+          ? "decoded (v1 payload parsed into owned bits)"
+          : (view_->image->is_mapped()
                  ? "mapped (zero-copy views over the mmap'd file image)"
-                 : "mapped (zero-copy views over a buffered file image; "
-                   "mmap unavailable)")
-          : (load_path_ == LoadPath::kCopied
-                 ? "copied (parsed into owned memory)"
-                 : "built (never loaded)");
+                 : "in-memory image (zero-copy views over a private "
+                   "image)");
   char buffer[896];
   std::snprintf(
       buffer, sizeof(buffer),
@@ -268,14 +247,14 @@ std::string Engine::info() const {
       "load path:  %s, %zu resident bytes\n"
       "envelope:   RELEASE-DB=%zu  RELEASE-ANSWERS=%zu  SUBSAMPLE=%zu\n"
       "            Theorem-12 winner for this shape: %s (%zu bits)\n",
-      file_.algorithm.c_str(), core::ToString(file_.params.scope),
-      core::ToString(file_.params.answer), file_.params.k, file_.params.eps,
-      file_.params.delta, file_.n, file_.d, file_.n * file_.d,
-      file_.summary.size(),
-      file_.n * file_.d == 0
+      file.algorithm.c_str(), core::ToString(file.params.scope),
+      core::ToString(file.params.answer), file.params.k, file.params.eps,
+      file.params.delta, file.n, file.d, file.n * file.d,
+      file.summary.size(),
+      file.n * file.d == 0
           ? 0.0
-          : 100.0 * static_cast<double>(file_.summary.size()) /
-                static_cast<double>(file_.n * file_.d),
+          : 100.0 * static_cast<double>(file.summary.size()) /
+                static_cast<double>(file.n * file.d),
       format, path, resident_bytes(), env.release_db_bits,
       env.release_answers_bits, env.subsample_bits, env.winner.c_str(),
       env.winner_bits);

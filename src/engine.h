@@ -21,22 +21,21 @@
 // core::QueryBatch, and its std::vector<Itemset> overload packs the
 // vector into one. mine() batches each Apriori level the same way.
 //
-// Load paths: every LoadMode reads the file into one aligned image and
-// runs the one image parser (sketch/sketch_view.h), so every mode
-// accepts and rejects exactly the same files with the same diagnostics.
-// Open prefers the ZERO-COPY MAPPED path for arena (v2) files -- the
-// file is mmap'd (util::MappedFile), validated in place, and the summary
-// plus any pre-transposed column section are handed to the query views
-// as borrowed, 64-byte-aligned words straight out of the page cache, so
-// opening is O(header + d) instead of O(payload). Legacy v1 files decode
-// their byte-packed payload into owned bits. LoadMode::kCopied reads the
-// file into a private buffer, keeps an owned copy of the summary and
-// drops the column section, so its queries run the same decode loaders
-// as built and ingest-published sketches. The paths answer every query
-// bit-identically; load_path() reports which one an Engine took,
-// resident_bytes() what it pins (mapped image size vs owned summary
-// bytes), and dropping the last reference to a mapped Engine unmaps the
-// file.
+// One image: every Engine queries a validated IFSK v2 image through the
+// one image parser (sketch/sketch_view.h). Open mmaps the file
+// (util::MappedFile) and validates it in place; Build and FromFile (the
+// ingest publish path) lay the sketch out as the same v2 image in
+// anonymous memory (sketch::WriteSketchImage) and view it the same way.
+// The summary and, for row-major algorithms, the pre-transposed column
+// section are handed to the query views as borrowed, 64-byte-aligned
+// words, so opening is O(header + d) instead of O(payload) and a fresh
+// build or published snapshot answers its first query without a
+// transpose. Only legacy v1 files decode their byte-packed payload into
+// owned bits. Whatever the source, an Engine answers every query
+// bit-identically to the decode reference (sketch::LoadEstimator /
+// LoadIndicator over sketch::LoadSketchFile); view() exposes the
+// image, resident_bytes() what it pins, and dropping the last reference
+// releases the image (munmap).
 //
 // Threading contract: every query method is const and safe to call from
 // any number of threads concurrently on one Engine. Lazy view
@@ -74,20 +73,6 @@ namespace ifsketch {
 /// Facade over build / save / open / query for any registered algorithm.
 class Engine {
  public:
-  /// How Open acquires the file's bytes.
-  enum class LoadMode {
-    kAuto,    ///< mapped for arena (v2) files, copied for legacy v1
-    kMapped,  ///< require the zero-copy path; fail on v1 files
-    kCopied,  ///< buffered read into an owned summary (both versions)
-  };
-
-  /// Which path an Engine's bits actually came from.
-  enum class LoadPath {
-    kBuilt,   ///< Build/FromFile: in-memory, never loaded from disk
-    kMapped,  ///< zero-copy views over a MappedFile
-    kCopied,  ///< parsed into an owned summary, no column section
-  };
-
   /// Sketches `db` with the named algorithm. Returns nullopt when the
   /// registry cannot resolve `algorithm` (see KnownAlgorithms()).
   static std::optional<Engine> Build(const core::Database& db,
@@ -96,21 +81,18 @@ class Engine {
                                      util::Rng& rng);
 
   /// Reopens a saved sketch, resolving the algorithm recorded in the
-  /// file; prefers the mapped path per `mode`. Returns nullopt when the
-  /// file is unreadable/malformed or its algorithm is not registered;
-  /// when `error` is non-null it receives a one-line diagnostic naming
-  /// the path and, for validation failures, the byte offset of the
-  /// first bad field.
+  /// file. Returns nullopt when the file is unreadable/malformed or its
+  /// algorithm is not registered; when `error` is non-null it receives a
+  /// one-line diagnostic naming the path and, for validation failures,
+  /// the byte offset of the first bad field.
   static std::optional<Engine> Open(const std::string& path,
-                                    LoadMode mode = LoadMode::kAuto,
                                     std::string* error = nullptr);
-  static std::optional<Engine> Open(const std::string& path,
-                                    std::string* error) {
-    return Open(path, LoadMode::kAuto, error);
-  }
 
-  /// Adopts an already-loaded file (the in-memory equivalent of Open).
-  static std::optional<Engine> FromFile(sketch::SketchFile file);
+  /// Writes `file` into an in-memory v2 image and queries that, as if
+  /// it had been saved and opened (Build ends here too). Returns nullopt
+  /// when the algorithm is not registered, the summary is not the size
+  /// it emits, or the file is unserializable.
+  static std::optional<Engine> FromFile(const sketch::SketchFile& file);
 
   /// Writes the sketch as an IFSK file (arena v2), atomically replacing
   /// `path` (write temp, fsync, rename). Returns false on I/O failure;
@@ -125,24 +107,25 @@ class Engine {
   static std::vector<std::string> KnownAlgorithms();
 
   // ----------------------------------------------------------- metadata
-  const std::string& algorithm() const { return file_.algorithm; }
-  const core::SketchParams& params() const { return file_.params; }
-  std::size_t n() const { return file_.n; }
-  std::size_t d() const { return file_.d; }
-  std::size_t summary_bits() const { return file_.summary.size(); }
-  const sketch::SketchFile& file() const { return file_; }
+  const std::string& algorithm() const { return view_->file.algorithm; }
+  const core::SketchParams& params() const { return view_->file.params; }
+  std::size_t n() const { return view_->file.n; }
+  std::size_t d() const { return view_->file.d; }
+  std::size_t summary_bits() const { return view_->file.summary.size(); }
+  const sketch::SketchFile& file() const { return view_->file; }
 
-  /// Which load path produced this Engine (see LoadPath).
-  LoadPath load_path() const { return load_path_; }
+  /// The validated image this Engine queries: view().image is the mmap'd
+  /// file or the in-memory image (null for a decoded v1 file), and
+  /// view().columns its column section, when it has one.
+  const sketch::SketchView& view() const { return *view_; }
 
-  /// On-disk format version this Engine was loaded from
-  /// (sketch::arena::kVersionLegacy / kVersionArena), or 0 when built
-  /// in memory.
-  std::uint16_t format_version() const { return file_.version; }
+  /// Format version of the image: sketch::arena::kVersionArena, or
+  /// kVersionLegacy for a decoded v1 file.
+  std::uint16_t format_version() const { return view_->file.version; }
 
-  /// Bytes this Engine pins for its summary data: the whole mapped image
-  /// for the mapped path (what eviction releases back to the page
-  /// cache), the owned summary payload bytes otherwise. Serving-layer
+  /// Bytes this Engine pins for its summary data: the whole image --
+  /// summary plus column section, what eviction releases -- or, for a
+  /// decoded v1 file, the owned summary payload bytes. Serving-layer
   /// byte budgets (serve::SketchPod) account in these units.
   std::size_t resident_bytes() const;
 
@@ -195,7 +178,9 @@ class Engine {
   sketch::EnvelopeReport envelope() const;
 
   /// Multi-line human-readable report: algorithm, parameters, shape,
-  /// summary size, file format + load path, and the envelope comparison.
+  /// summary size, file format, where the image lives (mmap'd file,
+  /// in-memory image, or decoded v1 payload), and the envelope
+  /// comparison.
   std::string info() const;
 
  private:
@@ -210,37 +195,34 @@ class Engine {
     std::shared_ptr<const core::FrequencyIndicator> indicator;
   };
 
-  Engine(sketch::SketchFile file,
+  Engine(sketch::SketchView view,
          std::shared_ptr<const core::SketchAlgorithm> algo)
-      : file_(std::move(file)),
+      : view_(std::make_shared<const sketch::SketchView>(std::move(view))),
         algo_(std::move(algo)),
-        views_(std::make_shared<ViewCache>()) {}
-
-  /// Resolve + payload-size validation shared by FromFile and Open;
-  /// `error` (optional) receives the reason on nullopt.
-  static std::optional<Engine> FromParts(sketch::SketchFile file,
-                                         LoadPath load_path,
-                                         std::string* error);
+        query_views_(std::make_shared<ViewCache>()) {}
 
   const core::FrequencyEstimator& estimator() const;
   const core::FrequencyIndicator& indicator() const;
 
-  /// The borrowed column store over the mapped column section; only
-  /// callable when columns_ is set.
+  /// The one view-selection rule: queries adopt the image's column
+  /// section when it has one and the algorithm's payload is row-major,
+  /// and decode the summary otherwise.
+  bool AdoptsColumns() const;
+
+  /// The borrowed column store over the image's column section; only
+  /// callable when AdoptsColumns().
   core::ColumnStore BorrowedColumns() const;
 
-  sketch::SketchFile file_;
+  // `view_` owns the image behind file().summary and the column
+  // section, shared by every copy of the Engine (a copied SketchFile
+  // would deep-copy the summary out of the image); it is declared before
+  // query_views_ so that when the last copy of an Engine dies, the
+  // cached views are destroyed before the image they may point into.
+  std::shared_ptr<const sketch::SketchView> view_;
   std::shared_ptr<const core::SketchAlgorithm> algo_;
-  // Mapped-path state. `mapping_` keeps the bytes behind file_.summary's
-  // view (and columns_) alive; it is declared before views_ so that when
-  // the last copy of an Engine dies, the cached views are destroyed
-  // before the mapping they may point into.
-  std::shared_ptr<const util::MappedFile> mapping_;
-  std::optional<sketch::ArenaColumns> columns_;
-  LoadPath load_path_ = LoadPath::kBuilt;
-  // Query views are deserialized on first use (std::call_once, so
+  // Query views are materialized on first use (std::call_once, so
   // concurrent first queries are safe) and cached.
-  std::shared_ptr<ViewCache> views_;
+  std::shared_ptr<ViewCache> query_views_;
 };
 
 }  // namespace ifsketch

@@ -24,6 +24,9 @@ std::unique_ptr<IngestService> IngestService::Create(
     return nullptr;
   };
   if (options.d == 0) return fail("ingest: d must be positive");
+  if (!core::ValidSketchParams(options.params)) {
+    return fail("ingest: invalid sketch parameters (k/eps/delta)");
+  }
   if (options.rows_per_snapshot == 0) {
     return fail("ingest: rows_per_snapshot must be positive");
   }
@@ -163,9 +166,10 @@ void IngestService::PublishSnapshot(std::uint64_t rows) {
   file.n = rows;
   file.d = options_.d;
   file.summary = builder_->Summary();
-  auto engine = Engine::FromFile(std::move(file));
+  auto engine = Engine::FromFile(file);
   // The builder produced the summary through the registered algorithm's
-  // own layout, so FromFile's size validation cannot fail here.
+  // own layout, and Create checked the params, so FromFile cannot fail
+  // here.
   IFSKETCH_CHECK(engine.has_value());
   last_published_rows_ = rows;
   auto shared = std::make_shared<const Engine>(std::move(*engine));

@@ -7,10 +7,14 @@
 // ring (spsc_ring.h). The thread consumes transaction rows, advances a
 // sketch::StreamingBuilder (any registry algorithm implementing the
 // sketch::StreamingSketch mixin -- STREAM-SUBSAMPLE, STREAM-STRATIFIED,
-// STREAM-IMPORTANCE), and every rows_per_snapshot rows serializes the
-// builder state into a full ifsketch::Engine via Engine::FromFile and
-// hands it to the publish callback. Snapshots are immutable: queries on
-// an already-published Engine never see later rows, and the callback
+// STREAM-IMPORTANCE), and every rows_per_snapshot rows writes the
+// builder's summary into a full ifsketch::Engine via Engine::FromFile
+// and hands it to the publish callback. A published Engine is a ready
+// image: the same IFSK v2 bytes a saved and reopened snapshot would map,
+// in anonymous memory, with the column section of a row-major algorithm
+// (STREAM-SUBSAMPLE) already transposed on the ingest thread, so its
+// first query decodes nothing. Snapshots are immutable: queries on an
+// already-published Engine never see later rows, and the callback
 // typically routes into serve::SketchPod::Publish, whose atomic
 // shared_ptr swap retires the previous snapshot exactly like eviction
 // (in-flight queries finish on their own reference).

@@ -3,12 +3,12 @@
 // One pod owns a name -> IFSK-path catalog and materializes Engine
 // instances on demand (Engine::Open on first Acquire), holding them
 // resident under an LRU + byte-budget admission policy. The byte budget
-// is accounted in Engine::resident_bytes(): for mapped (arena v2) loads
-// that is the whole mapped file image -- what eviction actually gives
-// back to the page cache -- and for copied loads the owned summary
-// payload bytes; either way the dominant, size-predictable term (the
-// derived query views are a small multiple of it, and for mapped
-// row-major sketches the views borrow the mapping outright). Loading a
+// is accounted in Engine::resident_bytes(): for arena v2 files and
+// published snapshots that is the whole image, column section included
+// -- what eviction actually gives back -- and for decoded v1 files the
+// owned summary payload bytes; either way the dominant, size-predictable
+// term (the derived query views are a small multiple of it, and for
+// row-major sketches the views borrow the image outright). Loading a
 // sketch that would push the pod over budget first evicts
 // least-recently-acquired residents; a sketch larger than the whole
 // budget is still admitted, alone, after everything else is evicted

@@ -66,9 +66,10 @@ class ColumnSampleEstimator final : public core::FrequencyEstimator {
 
 /// Base of the algorithms whose payload is rows of d bits and nothing
 /// else (core::SketchAlgorithm::HasRowMajorPayload), by default one
-/// sample answered by its sample frequency. Both load paths meet in
-/// LoadEstimatorFromColumns -- the decoding loader transposes the
-/// summary first -- and the indicators threshold it at 3eps/4.
+/// sample answered by its sample frequency. Every load meets in
+/// LoadEstimatorFromColumns -- an image's column section is adopted as
+/// is, the decoding loader transposes the summary first -- and the
+/// indicators threshold it at 3eps/4.
 class RowMajorSketch : public core::SketchAlgorithm {
  public:
   bool HasRowMajorPayload(const core::SketchParams&) const override {

@@ -1,10 +1,9 @@
 #include "sketch/sketch_file.h"
 
+#include <cstring>
 #include <istream>
 #include <iterator>
 #include <ostream>
-#include <sstream>
-#include <vector>
 
 #include "core/column_store.h"
 #include "sketch/builtin_algorithms.h"
@@ -19,120 +18,63 @@ namespace {
 using arena::RoundUpToAlign;
 
 template <typename T>
-void PutRaw(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+void Append(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-void PutZeros(std::ostream& out, std::uint64_t count) {
-  static constexpr char kZeros[arena::kSectionAlign] = {};
-  while (count > 0) {
-    const std::uint64_t chunk =
-        count < sizeof(kZeros) ? count : sizeof(kZeros);
-    out.write(kZeros, static_cast<std::streamsize>(chunk));
-    count -= chunk;
-  }
-}
-
-void PutWords(std::ostream& out, const std::uint64_t* words,
-              std::uint64_t count) {
-  if (count > 0) {
-    out.write(reinterpret_cast<const char*>(words),
-              static_cast<std::streamsize>(count * sizeof(std::uint64_t)));
-  }
-}
-
-// The trailer-less serialization shared by both WriteSketch modes.
-bool WriteSketchBody(std::ostream& out, const SketchFile& file,
-                     std::uint16_t version, ColumnSection columns) {
-  // Refuse to emit a file ReadSketch would reject: nothing serializable
-  // may be unloadable. The name length must fit its u16 header field.
+/// The header fields both versions share, magic through summary bit
+/// count. Refuses what the parser would reject -- nothing serializable
+/// may be unloadable: invalid params, or a name too long for its u16
+/// length field.
+bool AppendHeader(std::string* out, const SketchFile& file,
+                  std::uint16_t version) {
   if (!core::ValidSketchParams(file.params)) return false;
   if (file.algorithm.size() > 0xffff) return false;
-  if (version != arena::kVersionLegacy && version != arena::kVersionArena) {
-    return false;
-  }
-  out.write(arena::kMagic, 4);
-  PutRaw<std::uint16_t>(out, version);
-  PutRaw<std::uint16_t>(out,
+  out->append(arena::kMagic, 4);
+  Append<std::uint16_t>(out, version);
+  Append<std::uint16_t>(out,
                         static_cast<std::uint16_t>(file.algorithm.size()));
-  out.write(file.algorithm.data(),
-            static_cast<std::streamsize>(file.algorithm.size()));
-  PutRaw<std::uint32_t>(out, static_cast<std::uint32_t>(file.params.k));
-  PutRaw<double>(out, file.params.eps);
-  PutRaw<double>(out, file.params.delta);
-  PutRaw<std::uint8_t>(out, file.params.scope == core::Scope::kForAll ? 0
+  out->append(file.algorithm);
+  Append<std::uint32_t>(out, static_cast<std::uint32_t>(file.params.k));
+  Append<double>(out, file.params.eps);
+  Append<double>(out, file.params.delta);
+  Append<std::uint8_t>(out,
+                       file.params.scope == core::Scope::kForAll ? 0 : 1);
+  Append<std::uint8_t>(out,
+                       file.params.answer == core::Answer::kIndicator ? 0
                                                                       : 1);
-  PutRaw<std::uint8_t>(
-      out, file.params.answer == core::Answer::kIndicator ? 0 : 1);
-  PutRaw<std::uint64_t>(out, file.n);
-  PutRaw<std::uint64_t>(out, file.d);
-  const std::uint64_t bits = file.summary.size();
-  PutRaw<std::uint64_t>(out, bits);
+  Append<std::uint64_t>(out, file.n);
+  Append<std::uint64_t>(out, file.d);
+  Append<std::uint64_t>(out, file.summary.size());
+  return true;
+}
 
-  if (version == arena::kVersionLegacy) {
-    // Pack bits LSB-first into bytes.
-    std::vector<char> bytes((file.summary.size() + 7) / 8, 0);
-    for (std::size_t i = 0; i < file.summary.size(); ++i) {
-      if (file.summary.Get(i)) {
-        bytes[i / 8] |= static_cast<char>(1 << (i % 8));
-      }
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  } else {
-    // Arena framing: aligned word sections behind an offset table. A
-    // column section is framed only for algorithms whose whole payload
-    // is one row-major sample -- that is what the mapped load path can
-    // hand to ColumnStore::FromColumnWords verbatim.
-    const std::uint64_t summary_words = (bits + 63) / 64;
-    const auto algo = ResolveAlgorithm(file);
-    const bool with_columns = columns == ColumnSection::kAuto &&
-                              algo != nullptr &&
-                              algo->HasRowMajorPayload(file.params) &&
-                              file.d > 0 && bits > 0 && bits % file.d == 0;
-    const std::uint64_t rows = with_columns ? bits / file.d : 0;
-    const std::uint64_t stride =
-        with_columns
-            ? arena::ColumnStrideWords(static_cast<std::size_t>(rows))
-            : 0;
-    const std::uint32_t section_count = with_columns ? 2 : 1;
+void AppendSection(std::string* out, std::uint32_t kind,
+                   std::uint64_t offset, std::uint64_t words) {
+  Append<std::uint32_t>(out, kind);
+  Append<std::uint32_t>(out, 0);  // flags
+  Append<std::uint64_t>(out, offset);
+  Append<std::uint64_t>(out, words);
+}
 
-    const std::uint64_t header_end =
-        4 + 2 + 2 + file.algorithm.size() + 4 + 8 + 8 + 1 + 1 + 8 + 8 + 8 +
-        4 + section_count * arena::kSectionEntryBytes;
-    const std::uint64_t summary_offset = RoundUpToAlign(header_end);
-    const std::uint64_t columns_offset =
-        RoundUpToAlign(summary_offset + summary_words * 8);
-
-    PutRaw<std::uint32_t>(out, section_count);
-    PutRaw<std::uint32_t>(out, arena::kSummaryWords);
-    PutRaw<std::uint32_t>(out, 0);  // flags
-    PutRaw<std::uint64_t>(out, summary_offset);
-    PutRaw<std::uint64_t>(out, summary_words);
-    if (with_columns) {
-      PutRaw<std::uint32_t>(out, arena::kColumnWords);
-      PutRaw<std::uint32_t>(out, 0);  // flags
-      PutRaw<std::uint64_t>(out, columns_offset);
-      PutRaw<std::uint64_t>(out, file.d * stride);
-    }
-
-    PutZeros(out, summary_offset - header_end);
-    PutWords(out, file.summary.data(), summary_words);
-    if (with_columns) {
-      PutZeros(out, columns_offset - (summary_offset + summary_words * 8));
-      const core::ColumnStore columns =
-          core::ColumnStore::FromRowMajorBits(file.summary, file.d);
-      for (std::size_t j = 0; j < file.d; ++j) {
-        const util::BitVector& column = columns.Column(j);
-        PutWords(out, column.data(), column.num_words());
-        PutZeros(out, (stride - column.num_words()) * 8);
-      }
-    }
+/// The file bytes at `version`: the v2 image, or the legacy v1 framing
+/// (header, then the payload bits packed LSB-first into bytes -- the
+/// little-endian word layout, so one copy). nullptr when unserializable.
+std::shared_ptr<const util::MappedFile> Serialize(const SketchFile& file,
+                                                  std::uint16_t version,
+                                                  SketchChecksum checksum,
+                                                  ColumnSection columns) {
+  if (version == arena::kVersionArena) {
+    return WriteSketchImage(file, checksum, columns);
   }
-  // Push everything through to the sink before reporting success: a full
-  // disk often only surfaces at flush time, and returning true on a
-  // short write would leave a truncated, unreadable .ifsk behind.
-  out.flush();
-  return static_cast<bool>(out);
+  std::string bytes;
+  if (version != arena::kVersionLegacy ||
+      !AppendHeader(&bytes, file, version)) {
+    return nullptr;
+  }
+  bytes.append(reinterpret_cast<const char*>(file.summary.data()),
+               (file.summary.size() + 7) / 8);
+  return util::MappedFile::FromBytes(bytes.data(), bytes.size());
 }
 
 /// Runs the image parser and hands back an owned file: a v2 summary is
@@ -149,25 +91,78 @@ std::optional<SketchFile> ParseOwned(
 
 }  // namespace
 
+std::shared_ptr<const util::MappedFile> WriteSketchImage(
+    const SketchFile& file, SketchChecksum checksum, ColumnSection columns) {
+  std::string header;
+  if (!AppendHeader(&header, file, arena::kVersionArena)) return nullptr;
+  // A column section is framed only for algorithms whose whole payload
+  // is one row-major sample -- what ColumnStore::FromColumnWords can
+  // adopt verbatim.
+  const std::uint64_t bits = file.summary.size();
+  const std::uint64_t summary_words = (bits + 63) / 64;
+  const auto algo =
+      columns == ColumnSection::kAuto ? ResolveAlgorithm(file) : nullptr;
+  const bool with_columns = algo != nullptr &&
+                            algo->HasRowMajorPayload(file.params) &&
+                            file.d > 0 && bits > 0 && bits % file.d == 0;
+  const std::uint64_t stride =
+      with_columns ? arena::ColumnStrideWords(
+                         static_cast<std::size_t>(bits / file.d))
+                   : 0;
+  const std::uint32_t section_count = with_columns ? 2 : 1;
+
+  Append<std::uint32_t>(&header, section_count);
+  const std::uint64_t summary_offset = RoundUpToAlign(
+      header.size() + section_count * arena::kSectionEntryBytes);
+  const std::uint64_t columns_offset =
+      RoundUpToAlign(summary_offset + summary_words * 8);
+  AppendSection(&header, arena::kSummaryWords, summary_offset,
+                summary_words);
+  if (with_columns) {
+    AppendSection(&header, arena::kColumnWords, columns_offset,
+                  file.d * stride);
+  }
+  const std::uint64_t end = with_columns
+                                ? columns_offset + file.d * stride * 8
+                                : summary_offset + summary_words * 8;
+  const bool trailer = checksum == SketchChecksum::kCrc32c;
+
+  // The image arrives zero-filled, so padding needs no writes.
+  auto image = util::MappedFile::Allocate(static_cast<std::size_t>(
+      end + (trailer ? arena::kTrailerBytes : 0)));
+  unsigned char* bytes = image->mutable_data();
+  std::memcpy(bytes, header.data(), header.size());
+  if (summary_words > 0) {
+    std::memcpy(bytes + summary_offset, file.summary.data(),
+                static_cast<std::size_t>(summary_words * 8));
+  }
+  if (with_columns) {
+    core::ColumnStore::TransposeRowMajorBits(
+        file.summary, file.d,
+        reinterpret_cast<std::uint64_t*>(bytes + columns_offset),
+        static_cast<std::size_t>(stride));
+  }
+  if (trailer) {
+    const std::uint32_t kind = arena::kChecksumCrc32c;
+    const std::uint64_t crc =
+        util::Crc32c(bytes, static_cast<std::size_t>(end));
+    std::memcpy(bytes + end, arena::kTrailerMagic, 4);
+    std::memcpy(bytes + end + 4, &kind, sizeof(kind));
+    std::memcpy(bytes + end + 8, &crc, sizeof(crc));
+  }
+  return image;
+}
+
 bool WriteSketch(std::ostream& out, const SketchFile& file,
                  std::uint16_t version, SketchChecksum checksum,
                  ColumnSection columns) {
-  // v1 has no trailer slot, so a checksum request on a legacy file is
-  // ignored rather than refused -- the caller's compatibility intent
-  // (produce a v1 file) wins.
-  if (checksum != SketchChecksum::kCrc32c ||
-      version != arena::kVersionArena) {
-    return WriteSketchBody(out, file, version, columns);
-  }
-  // Serialize to memory first: the trailer's CRC covers every body byte,
-  // and buffering keeps this a single pass over the payload.
-  std::ostringstream body(std::ios::binary);
-  if (!WriteSketchBody(body, file, version, columns)) return false;
-  const std::string bytes = body.str();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.write(arena::kTrailerMagic, 4);
-  PutRaw<std::uint32_t>(out, arena::kChecksumCrc32c);
-  PutRaw<std::uint64_t>(out, util::Crc32c(bytes.data(), bytes.size()));
+  const auto bytes = Serialize(file, version, checksum, columns);
+  if (bytes == nullptr) return false;
+  out.write(reinterpret_cast<const char*>(bytes->data()),
+            static_cast<std::streamsize>(bytes->size()));
+  // Push everything through to the sink before reporting success: a full
+  // disk often only surfaces at flush time, and returning true on a
+  // short write would leave a truncated, unreadable .ifsk behind.
   out.flush();
   return static_cast<bool>(out);
 }
@@ -182,24 +177,18 @@ std::optional<SketchFile> ReadSketch(std::istream& in, SketchError* error) {
 bool SaveSketchFile(const std::string& path, const SketchFile& file,
                     std::uint16_t version, SketchChecksum checksum,
                     SketchError* error) {
-  std::ostringstream out(std::ios::binary);
-  if (!WriteSketch(out, file, version, checksum)) {
-    if (error != nullptr) {
-      error->message = "unserializable sketch (bad params, name, or version)";
-      error->offset = 0;
-    }
-    return false;
+  const auto bytes =
+      Serialize(file, version, checksum, ColumnSection::kAuto);
+  std::string detail = "unserializable sketch (bad params, name, or version)";
+  if (bytes != nullptr &&
+      util::WriteFileAtomic(path, bytes->data(), bytes->size(), &detail)) {
+    return true;
   }
-  const std::string bytes = out.str();
-  std::string detail;
-  if (!util::WriteFileAtomic(path, bytes.data(), bytes.size(), &detail)) {
-    if (error != nullptr) {
-      error->message = std::move(detail);
-      error->offset = 0;
-    }
-    return false;
+  if (error != nullptr) {
+    error->message = std::move(detail);
+    error->offset = 0;
   }
-  return true;
+  return false;
 }
 
 std::optional<SketchFile> LoadSketchFile(const std::string& path,

@@ -29,7 +29,7 @@
 //          each padded to arena::ColumnStrideWords(rows) words so every
 //          column starts 64-byte aligned -- what ColumnStore::
 //          FromColumnWords adopts with zero copies. Without it (older
-//          files) both load paths decode the summary.
+//          files) queries decode the summary.
 //     Sections appear in ascending kind order, each at the first
 //     64-byte boundary after its predecessor, padding bytes zero, and
 //     the file ends exactly where the last section ends. Everything is
@@ -37,26 +37,29 @@
 //     never chases pointers, only bounds-checked offsets.
 //
 //     Trust model of the column section: it is DERIVED data, redundant
-//     with the summary, and WriteSketch guarantees the two agree. The
-//     parser checks its structure (shape, alignment, tail bits,
+//     with the summary, and WriteSketchImage guarantees the two agree.
+//     The parser checks its structure (shape, alignment, tail bits,
 //     padding) but deliberately not transpose-equality -- that would
-//     cost the O(payload) pass zero-copy loading exists to avoid. A
-//     corrupted column data word is therefore as undetectable as a
-//     flipped payload bit in a v1 file, and since the mapped path
-//     queries the section directly, such corruption shows up in mapped
-//     answers (the copied load path drops the section and re-transposes
-//     the summary instead). Golden files and the CI both-path diffs
-//     police producers.
+//     cost the O(payload) pass zero-copy loading exists to avoid. Every
+//     Engine over a v2 image queries the section directly, so a
+//     corrupted column data word shows up in answers the way a flipped
+//     payload bit of a v1 file does. CheckColumnSection (sketch_view.h)
+//     is the O(payload) comparison, and ifsketch_fsck runs it on every
+//     v2 file that carries the section; golden files police producers.
 //
-// Every reader runs the one image parser (sketch_view.h) and returns
-// nullopt on anything malformed -- pass a SketchError to learn what was
-// wrong and the byte offset of the first invalid field. ReadSketch and
-// LoadSketchFile hand back an owned copy of the summary. The carried
-// algorithm name is what makes files self-describing: pass a loaded
-// SketchFile to ResolveAlgorithm() to get the producing SketchAlgorithm
-// back from the registry, or use Engine::Open (engine.h) which does the
-// whole load-resolve-query wiring in one call (memory-mapping v2 files
-// for zero-copy loads).
+// The one v2 serializer, WriteSketchImage, lays a file out as an aligned
+// in-memory image: WriteSketch and SaveSketchFile write its bytes (the
+// v1 writer remains for legacy goldens), Engine::Build and FromFile
+// query it in place. Every reader runs the one image parser
+// (sketch_view.h) and returns nullopt on anything malformed -- pass a
+// SketchError to learn what was wrong and the byte offset of the first
+// invalid field. ReadSketch and LoadSketchFile hand back an owned copy
+// of the summary; with LoadEstimator/LoadIndicator they are the decode
+// reference. The carried algorithm name is what makes files
+// self-describing: pass a loaded SketchFile to ResolveAlgorithm() to get
+// the producing SketchAlgorithm back from the registry, or use
+// Engine::Open (engine.h), which does the whole load-resolve-query
+// wiring in one call.
 #ifndef IFSKETCH_SKETCH_SKETCH_FILE_H_
 #define IFSKETCH_SKETCH_SKETCH_FILE_H_
 
@@ -68,6 +71,7 @@
 
 #include "core/sketch.h"
 #include "util/bitvector.h"
+#include "util/mapped_file.h"
 
 namespace ifsketch::sketch {
 
@@ -121,8 +125,8 @@ enum ChecksumKind : std::uint32_t {
 
 }  // namespace arena
 
-/// Whether WriteSketch appends the integrity trailer (v2 only; requests
-/// to write a checksummed v1 file are ignored, v1 has no trailer slot).
+/// Whether a v2 file ends with the integrity trailer (requests to write
+/// a checksummed v1 file are ignored, v1 has no trailer slot).
 enum class SketchChecksum : std::uint8_t {
   kNone = 0,
   kCrc32c = 1,
@@ -153,6 +157,15 @@ struct SketchError {
   std::string message;
   std::uint64_t offset = 0;
 };
+
+/// Lays `file` out as one v2 image (util::MappedFile::Allocate): the
+/// column section, unless `columns` is kOmit, is transposed straight
+/// into it, and the trailer ends it when `checksum` asks. nullptr when
+/// the file is unserializable (invalid params, or a name longer than its
+/// u16 length field).
+std::shared_ptr<const util::MappedFile> WriteSketchImage(
+    const SketchFile& file, SketchChecksum checksum = SketchChecksum::kNone,
+    ColumnSection columns = ColumnSection::kAuto);
 
 /// Serializes to a binary stream at the given format version (callers
 /// pass arena::kVersionLegacy to produce v1 files for compatibility

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/column_store.h"
 #include "util/check.h"
 #include "util/crc32c.h"
 
@@ -307,6 +308,7 @@ bool ViewArenaSections(ImageCursor& cursor, std::uint64_t bits,
       return cursor.Fail(count_at, "image size does not match section table");
     }
     if (!CheckTrailer(cursor, end_offset)) return false;
+    view->checksummed = true;
   }
 
   // Summary section: zero padding up to it, trailing bits zero; then the
@@ -370,6 +372,29 @@ std::optional<SketchView> ViewSketchImage(
   if (!ok) return std::nullopt;
   view.image = std::move(image);
   return view;
+}
+
+bool CheckColumnSection(const SketchView& view, SketchError* error) {
+  if (!view.columns.has_value()) return true;
+  const ArenaColumns& columns = *view.columns;
+  const core::ColumnStore expected =
+      core::ColumnStore::FromRowMajorBits(view.file.summary, columns.d);
+  const std::size_t words = (columns.rows + 63) / 64;
+  for (std::size_t j = 0; j < columns.d; ++j) {
+    const std::uint64_t* want = expected.Column(j).data();
+    const std::uint64_t* got = columns.words + j * columns.stride_words;
+    for (std::size_t w = 0; w < words; ++w) {
+      if (got[w] == want[w]) continue;
+      if (error != nullptr) {
+        error->message = "column section disagrees with summary";
+        error->offset = static_cast<std::uint64_t>(
+            reinterpret_cast<const unsigned char*>(got + w) -
+            view.image->data());
+      }
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace ifsketch::sketch

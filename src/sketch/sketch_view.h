@@ -1,20 +1,21 @@
-// The IFSK image parser: the one validator behind every load path.
+// The IFSK image parser: the one validator behind every way in.
 //
-// ReadSketch and LoadSketchFile (sketch_file.h) and Engine::Open in every
-// LoadMode get a file's bytes into one 64-byte-aligned util::MappedFile
-// image -- an mmap (MappedFile::Open), a buffered read (OpenBuffered),
-// or an aligned copy of a stream (FromBytes) -- and run ViewSketchImage
-// over it. The parser validates the whole image in place, under the
-// validate-everything discipline (magic, version, enum bytes, parameter
-// ranges, section framing, alignment, padding, tail bits, the optional
-// integrity trailer), and returns a SketchView:
+// Every IFSK image runs ViewSketchImage, whatever its source: a file
+// mmap'd by Engine::Open (util::MappedFile::Open), a file read by
+// LoadSketchFile (OpenBuffered), a stream read by ReadSketch
+// (FromBytes), or the in-memory image WriteSketchImage lays out for
+// Engine::Build and Engine::FromFile. The parser validates the whole
+// image in place, under the validate-everything discipline (magic,
+// version, enum bytes, parameter ranges, section framing, alignment,
+// padding, tail bits, the optional integrity trailer), and returns a
+// SketchView:
 //
 //   - v2 (arena): file.summary is a borrowed util::BitVector::View over
 //     the image, and `columns`, when the file carries a column section,
 //     describes it for core::ColumnStore::FromColumnWords. Nothing is
-//     decoded and nothing is copied: opening a mapped sketch is
-//     O(header + d) regardless of payload size, and the SIMD query
-//     kernels run straight out of the mapping.
+//     decoded and nothing is copied: viewing an image is O(header + d)
+//     regardless of payload size, and the SIMD query kernels run
+//     straight out of it.
 //   - v1 (legacy, byte-packed): there are no word sections to borrow,
 //     so file.summary is decoded into owned bits and `columns` is empty.
 //     The legacy rule ignores bytes after the payload.
@@ -51,6 +52,8 @@ struct SketchView {
   std::optional<ArenaColumns> columns;
   /// The bytes file.summary and columns borrow from.
   std::shared_ptr<const util::MappedFile> image;
+  /// Whether the image ends with a verified integrity trailer (v2 only).
+  bool checksummed = false;
 };
 
 /// Validates an IFSK image of either version in place and returns a view
@@ -60,6 +63,13 @@ struct SketchView {
 std::optional<SketchView> ViewSketchImage(
     std::shared_ptr<const util::MappedFile> image,
     SketchError* error = nullptr);
+
+/// Compares every data word of `view`'s column section with the
+/// transpose of its summary (core::ColumnStore::FromRowMajorBits).
+/// True when they agree or the view has no column section; otherwise
+/// false with "column section disagrees with summary" at the image byte
+/// offset of the first differing word. Costs O(payload).
+bool CheckColumnSection(const SketchView& view, SketchError* error = nullptr);
 
 }  // namespace ifsketch::sketch
 

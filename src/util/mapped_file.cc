@@ -1,10 +1,12 @@
 #include "util/mapped_file.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <mutex>
 #include <new>
-#include <vector>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define IFSKETCH_HAVE_MMAP 1
@@ -17,19 +19,47 @@
 namespace ifsketch::util {
 namespace {
 
-constexpr std::size_t kAlignment = 64;
-
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
 }
 
+#if IFSKETCH_HAVE_MMAP
+// The most recently released private image of at most kKeptBytes, kept
+// for the next Allocate of its size (see mapped_file.h). Never
+// destroyed, so images released during static destruction still find
+// it.
+constexpr std::size_t kKeptBytes = std::size_t{256} << 10;
+
+struct KeptImage {
+  std::mutex mu;
+  unsigned char* data = nullptr;
+  std::size_t size = 0;
+};
+
+KeptImage& Kept() {
+  static KeptImage* kept = new KeptImage;
+  return *kept;
+}
+#else
+constexpr std::size_t kAlignment = 64;
+#endif
+
 }  // namespace
 
 MappedFile::~MappedFile() {
+  if (data_ == nullptr) return;
 #if IFSKETCH_HAVE_MMAP
-  if (map_base_ != nullptr) munmap(map_base_, size_);
+  if (!mapped_ && size_ <= kKeptBytes) {
+    // Keep this image; release the one it displaces, if any.
+    KeptImage& kept = Kept();
+    std::lock_guard<std::mutex> lock(kept.mu);
+    std::swap(kept.data, data_);
+    std::swap(kept.size, size_);
+  }
+  if (data_ != nullptr) munmap(data_, size_);
+#else
+  ::operator delete[](data_, std::align_val_t{kAlignment});
 #endif
-  ::operator delete[](buffer_, std::align_val_t{kAlignment});
 }
 
 std::shared_ptr<const MappedFile> MappedFile::Open(const std::string& path,
@@ -62,10 +92,9 @@ std::shared_ptr<const MappedFile> MappedFile::Open(const std::string& path,
     return OpenBuffered(path, error);
   }
   auto file = std::shared_ptr<MappedFile>(new MappedFile());
-  file->data_ = static_cast<const unsigned char*>(base);
+  file->data_ = static_cast<unsigned char*>(base);
   file->size_ = size;
   file->mapped_ = true;
-  file->map_base_ = base;
   return file;
 #else
   return OpenBuffered(path, error);
@@ -74,41 +103,57 @@ std::shared_ptr<const MappedFile> MappedFile::Open(const std::string& path,
 
 std::shared_ptr<const MappedFile> MappedFile::OpenBuffered(
     const std::string& path, std::string* error) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
     SetError(error, path + ": " + std::strerror(errno));
     return nullptr;
   }
-  // Chunked read into a growing staging buffer, then one copy into the
-  // final aligned allocation: no fseek/ftell pre-sizing, which would cap
-  // files at what a `long` can count on LLP64 platforms -- the very
-  // platforms that always take this fallback.
-  std::vector<unsigned char> staging;
-  unsigned char chunk[64 * 1024];
-  std::size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
-    staging.insert(staging.end(), chunk, chunk + got);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  if (in.bad()) {
     SetError(error, path + ": read error");
     return nullptr;
   }
-  return FromBytes(staging.data(), staging.size());
+  return FromBytes(bytes.data(), bytes.size());
 }
 
 std::shared_ptr<const MappedFile> MappedFile::FromBytes(const void* data,
                                                        std::size_t size) {
-  auto file = std::shared_ptr<MappedFile>(new MappedFile());
-  if (size > 0) {
-    file->buffer_ = static_cast<unsigned char*>(
-        ::operator new[](size, std::align_val_t{kAlignment}));
-    std::memcpy(file->buffer_, data, size);
-    file->data_ = file->buffer_;
-    file->size_ = size;
+  auto image = Allocate(size);
+  if (size > 0) std::memcpy(image->data_, data, size);
+  return image;
+}
+
+std::shared_ptr<MappedFile> MappedFile::Allocate(std::size_t size) {
+  auto image = std::shared_ptr<MappedFile>(new MappedFile());
+  if (size == 0) return image;
+#if IFSKETCH_HAVE_MMAP
+  {
+    KeptImage& kept = Kept();
+    std::lock_guard<std::mutex> lock(kept.mu);
+    if (kept.size == size) {
+      std::swap(kept.data, image->data_);
+      kept.size = 0;
+    }
   }
-  return file;
+  if (image->data_ != nullptr) {
+    std::memset(image->data_, 0, size);
+  } else {
+    int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_POPULATE
+    flags |= MAP_POPULATE;  // the writer touches every page anyway
+#endif
+    void* base = mmap(nullptr, size, PROT_READ | PROT_WRITE, flags, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    image->data_ = static_cast<unsigned char*>(base);
+  }
+#else
+  image->data_ = static_cast<unsigned char*>(
+      ::operator new[](size, std::align_val_t{kAlignment}));
+  std::memset(image->data_, 0, size);
+#endif
+  image->size_ = size;
+  return image;
 }
 
 }  // namespace ifsketch::util

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/validate.h"
 #include "data/generators.h"
 #include "mining/apriori.h"
@@ -127,6 +130,37 @@ TEST(ColumnStoreTest, RowMajorBitsMatchDatabaseColumns) {
   const ColumnStore empty = ColumnStore::FromRowMajorBits(util::BitVector(), 4);
   EXPECT_EQ(empty.num_rows(), 0u);
   EXPECT_EQ(empty.num_columns(), 4u);
+}
+
+// The in-place transpose behind the IFSK column section writes exactly
+// the columns FromRowMajorBits decodes, at the given stride, and leaves
+// the words between a column's end and the next stride alone -- at
+// widths that pack several row groups into one 64x64 block and at row
+// counts on both sides of a group boundary.
+TEST(ColumnStoreTest, TransposeIntoStridedWordsMatchesTheDecoder) {
+  util::Rng rng(19);
+  constexpr std::uint64_t kPad = 0xa5a5a5a5a5a5a5a5ULL;
+  for (std::size_t d : {1u, 3u, 12u, 16u, 17u, 32u, 33u, 64u, 65u, 130u}) {
+    for (std::size_t rows : {1u, 63u, 64u, 65u, 129u, 300u, 2440u}) {
+      const util::BitVector bits = rng.RandomBits(rows * d);
+      const ColumnStore want = ColumnStore::FromRowMajorBits(bits, d);
+      const std::size_t words = (rows + 63) / 64;
+      const std::size_t stride = words + 3;
+      std::vector<std::uint64_t> out(d * stride, kPad);
+      ColumnStore::TransposeRowMajorBits(bits, d, out.data(), stride);
+      for (std::size_t j = 0; j < d; ++j) {
+        for (std::size_t w = 0; w < stride; ++w) {
+          ASSERT_EQ(out[j * stride + w],
+                    w < words ? want.Column(j).data()[w] : kPad)
+              << "d=" << d << " rows=" << rows << " column " << j
+              << " word " << w;
+        }
+        for (std::size_t i = 0; i < rows; ++i) {
+          ASSERT_EQ(want.Column(j).Get(i), bits.Get(i * d + j));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

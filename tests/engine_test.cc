@@ -58,26 +58,18 @@ TEST(EngineTest, FromFileAndOpenRejectPayloadOfTheWrongSize) {
   // this shape must be refused at open, not abort inside a loader later.
   file.summary = util::BitVector(8);
   EXPECT_FALSE(Engine::FromFile(file).has_value());
-  // The same refusal for files on disk, at both format versions and
-  // through every load mode that applies (ifsketch_fsck relies on it).
+  // The same refusal for files on disk, at both format versions
+  // (ifsketch_fsck relies on it).
   for (const std::uint16_t version :
        {sketch::arena::kVersionLegacy, sketch::arena::kVersionArena}) {
     const std::string path = testing::TempDir() + "/engine_wrong_size_v" +
                              std::to_string(version) + ".ifsk";
     ASSERT_TRUE(sketch::SaveSketchFile(path, file, version));
-    for (const Engine::LoadMode mode :
-         {Engine::LoadMode::kAuto, Engine::LoadMode::kMapped,
-          Engine::LoadMode::kCopied}) {
-      if (version == sketch::arena::kVersionLegacy &&
-          mode == Engine::LoadMode::kMapped) {
-        continue;  // refused for its version, not its payload
-      }
-      std::string error;
-      EXPECT_FALSE(Engine::Open(path, mode, &error).has_value());
-      EXPECT_NE(error.find("is 8 bits but SUBSAMPLE would emit"),
-                std::string::npos)
-          << error;
-    }
+    std::string error;
+    EXPECT_FALSE(Engine::Open(path, &error).has_value());
+    EXPECT_NE(error.find("is 8 bits but SUBSAMPLE would emit"),
+              std::string::npos)
+        << error;
   }
 }
 

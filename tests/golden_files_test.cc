@@ -24,6 +24,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine.h"
@@ -118,64 +119,95 @@ TEST_P(GoldenFilesTest, OpenReproducesRecordedAnswers) {
   ASSERT_EQ(golden_lines[0].estimate, engine->estimate(queries[0]));
 }
 
-// Opens `file` (under the test data dir) through BOTH load paths -- the
-// zero-copy mapped path (views straight over the file image, columns
-// adopted from the column section when it has one) and the copied path
-// (owned summary, decoded by the algorithm's loader) -- and requires the
-// answers recorded in `answers`.
-void ExpectArenaGoldenOnBothLoadPaths(const std::string& file,
-                                      const std::string& answers,
-                                      const std::string& algorithm) {
+// Requires the pinned queries' answers from one source to be the
+// recorded ones.
+void ExpectRecordedAnswers(const std::vector<GoldenLine>& golden_lines,
+                           const std::vector<double>& estimates,
+                           const std::vector<bool>& bits,
+                           const std::string& what) {
+  ASSERT_EQ(estimates.size(), golden_lines.size()) << what;
+  ASSERT_EQ(bits.size(), golden_lines.size()) << what;
+  for (std::size_t i = 0; i < golden_lines.size(); ++i) {
+    ASSERT_EQ(golden_lines[i].estimate, estimates[i])
+        << what << " estimate drifted from the v1 recording on query "
+        << golden_lines[i].key;
+    ASSERT_EQ(golden_lines[i].frequent, bits[i])
+        << what << " indicator drifted from the v1 recording on query "
+        << golden_lines[i].key;
+  }
+}
+
+// Answers `file` (under the test data dir) three ways -- opened (views
+// straight over the mmap'd file, columns adopted from the column
+// section when it has one), published (Engine::FromFile over the loaded
+// file: an in-memory image written with the column section its
+// algorithm calls for) and the decode reference (LoadEstimator /
+// LoadIndicator over LoadSketchFile) -- and requires the answers
+// recorded in `answers` from each.
+void ExpectArenaGoldenOnEveryPath(const std::string& file,
+                                  const std::string& answers,
+                                  const std::string& algorithm) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
+  const std::string path = dir + "/" + file;
   const auto queries = golden::PinnedQueries();
   const auto golden_lines = LoadAnswers(dir + "/" + answers);
   ASSERT_EQ(golden_lines.size(), queries.size());
 
-  for (const Engine::LoadMode mode :
-       {Engine::LoadMode::kMapped, Engine::LoadMode::kCopied}) {
-    std::string error;
-    auto engine = Engine::Open(dir + "/" + file, mode, &error);
-    ASSERT_TRUE(engine.has_value()) << error;
-    EXPECT_EQ(engine->algorithm(), algorithm);
-    EXPECT_EQ(engine->format_version(), sketch::arena::kVersionArena);
-    EXPECT_EQ(engine->load_path(), mode == Engine::LoadMode::kMapped
-                                       ? Engine::LoadPath::kMapped
-                                       : Engine::LoadPath::kCopied);
+  sketch::SketchError load_error;
+  const auto loaded = sketch::LoadSketchFile(path, &load_error);
+  ASSERT_TRUE(loaded.has_value()) << load_error.message;
+  std::string error;
+  auto opened = Engine::Open(path, &error);
+  ASSERT_TRUE(opened.has_value()) << error;
+  ASSERT_NE(opened->view().image, nullptr);
+  EXPECT_TRUE(opened->view().image->is_mapped());
+  auto published = Engine::FromFile(*loaded);
+  ASSERT_TRUE(published.has_value());
 
+  for (const auto& [label, engine] :
+       {std::pair<const char*, const Engine*>{"opened", &*opened},
+        std::pair<const char*, const Engine*>{"published", &*published}}) {
+    EXPECT_EQ(engine->algorithm(), algorithm) << label;
+    EXPECT_EQ(engine->format_version(), sketch::arena::kVersionArena);
     std::vector<double> estimates;
     engine->estimate_many(queries, &estimates);
     std::vector<bool> bits;
     engine->are_frequent(queries, &bits);
-    ASSERT_EQ(estimates.size(), queries.size());
+    ExpectRecordedAnswers(golden_lines, estimates, bits, file + " " + label);
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(golden_lines[i].estimate, estimates[i])
-          << file << " estimate drifted from the v1 recording on query "
-          << golden_lines[i].key;
-      ASSERT_EQ(golden_lines[i].frequent, bits[i])
-          << file << " indicator drifted from the v1 recording on query "
-          << golden_lines[i].key;
       ASSERT_EQ(golden_lines[i].estimate, engine->estimate(queries[i]));
       ASSERT_EQ(golden_lines[i].frequent, engine->is_frequent(queries[i]));
     }
   }
+
+  const auto estimator = sketch::LoadEstimator(*loaded);
+  const auto indicator = sketch::LoadIndicator(*loaded);
+  ASSERT_NE(estimator, nullptr);
+  ASSERT_NE(indicator, nullptr);
+  std::vector<double> estimates;
+  estimator->EstimateMany(queries, &estimates);
+  std::vector<bool> bits;
+  indicator->AreFrequent(queries, &bits);
+  ExpectRecordedAnswers(golden_lines, estimates, bits, file + " decoded");
 }
 
 // The arena (v2) golden -- the same RELEASE-DB summary as
-// release_db.ifsk, framed with aligned word sections -- must decode to
-// the SAME recorded answers through both load paths. This pins the v2
-// serialization and the mapped/copied equivalence to the checked-in
-// bytes; the v1 goldens above keep pinning the legacy path.
-TEST(GoldenFilesTest, ArenaGoldenBitIdenticalOnBothLoadPaths) {
-  ExpectArenaGoldenOnBothLoadPaths("release_db_v2.ifsk",
-                                   "release_db.answers.txt", "RELEASE-DB");
+// release_db.ifsk, framed with aligned word sections -- must answer the
+// SAME recorded answers opened, published and decoded. This pins the v2
+// serialization to the checked-in bytes; the v1 goldens above keep
+// pinning the legacy path.
+TEST(GoldenFilesTest, ArenaGoldenBitIdenticalOnEveryPath) {
+  ExpectArenaGoldenOnEveryPath("release_db_v2.ifsk", "release_db.answers.txt",
+                               "RELEASE-DB");
 }
 
 // A MEDIAN-BOOST(SUBSAMPLE) v2 file with the summary section alone: the
 // framing MEDIAN-BOOST files were written with before the algorithm
-// reported a row-major payload. Such files stay readable forever, so
-// both load paths must decode the summary and answer exactly like the
-// v1 recording -- the mapped path without a column section to adopt.
-TEST(GoldenFilesTest, ColumnlessMedianBoostArenaGoldenOnBothLoadPaths) {
+// reported a row-major payload. Such files stay readable forever, so an
+// opened one must decode its summary -- with no column section to adopt
+// -- and answer exactly like the v1 recording, as must the published
+// image, which carries the column section.
+TEST(GoldenFilesTest, ColumnlessMedianBoostArenaGoldenOnEveryPath) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
   const auto view = sketch::ViewSketchImage(
       util::MappedFile::Open(dir + "/median_boost_subsample_v2.ifsk"));
@@ -183,15 +215,15 @@ TEST(GoldenFilesTest, ColumnlessMedianBoostArenaGoldenOnBothLoadPaths) {
   EXPECT_FALSE(view->columns.has_value())
       << "this golden pins the summary-only framing; regenerate it only "
          "with make_golden, which writes it with ColumnSection::kOmit";
-  ExpectArenaGoldenOnBothLoadPaths("median_boost_subsample_v2.ifsk",
-                                   "median_boost_subsample.answers.txt",
-                                   "MEDIAN-BOOST(SUBSAMPLE)");
+  ExpectArenaGoldenOnEveryPath("median_boost_subsample_v2.ifsk",
+                               "median_boost_subsample.answers.txt",
+                               "MEDIAN-BOOST(SUBSAMPLE)");
 }
 
 // The checksummed arena golden -- release_db_v2.ifsk plus the CRC32C
 // integrity trailer (PR 10) -- must be exactly the trailer-extended v2
-// bytes and answer identically to the recorded answers through both
-// load paths, pinning trailer validation to checked-in bytes.
+// bytes and answer identically to the recorded answers opened and
+// decoded, pinning trailer validation to checked-in bytes.
 TEST(GoldenFilesTest, ChecksummedArenaGoldenMatchesRecordedAnswers) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
   const std::string plain = ReadBytes(dir + "/release_db_v2.ifsk");
@@ -200,33 +232,17 @@ TEST(GoldenFilesTest, ChecksummedArenaGoldenMatchesRecordedAnswers) {
   ASSERT_EQ(checked.size(), plain.size() + sketch::arena::kTrailerBytes);
   EXPECT_EQ(checked.compare(0, plain.size(), plain), 0)
       << "trailer golden diverged from the trailer-less v2 golden";
-
-  const auto queries = golden::PinnedQueries();
-  const auto golden_lines = LoadAnswers(dir + "/release_db.answers.txt");
-  ASSERT_EQ(golden_lines.size(), queries.size());
-  for (const Engine::LoadMode mode :
-       {Engine::LoadMode::kMapped, Engine::LoadMode::kCopied}) {
-    std::string error;
-    auto engine =
-        Engine::Open(dir + "/release_db_v2_crc.ifsk", mode, &error);
-    ASSERT_TRUE(engine.has_value()) << error;
-    std::vector<double> estimates;
-    engine->estimate_many(queries, &estimates);
-    std::vector<bool> bits;
-    engine->are_frequent(queries, &bits);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(golden_lines[i].estimate, estimates[i]);
-      ASSERT_EQ(golden_lines[i].frequent, bits[i]);
-    }
-  }
+  ExpectArenaGoldenOnEveryPath("release_db_v2_crc.ifsk",
+                               "release_db.answers.txt", "RELEASE-DB");
 }
 
-// Every load mode runs the one image parser, so a damaged file reads
-// the same whichever path opens it: each truncation of a v2 golden must
-// fail through kCopied and kMapped with the identical "path: byte N:
-// reason" -- or, cut exactly where the checksum trailer starts, load
-// through both.
-TEST(GoldenFilesTest, TruncatedArenaGoldensFailIdenticallyOnBothLoadPaths) {
+// Every reader runs the one image parser, so a damaged file reads the
+// same whichever image it arrives in: each truncation of a v2 golden
+// must fail through Engine::Open (mmap image), LoadSketchFile (buffered
+// image) and ReadSketch (stream image) with the identical "path: byte
+// N: reason" -- or, cut exactly where the checksum trailer starts, load
+// through all three.
+TEST(GoldenFilesTest, TruncatedArenaGoldensFailIdenticallyThroughEveryReader) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
   const struct {
     const char* name;
@@ -234,6 +250,11 @@ TEST(GoldenFilesTest, TruncatedArenaGoldensFailIdenticallyOnBothLoadPaths) {
   } kGoldens[] = {
       {"release_db_v2_crc.ifsk", 1},  // the cut where the trailer starts
       {"median_boost_subsample_v2.ifsk", 0},
+  };
+  const auto format = [](const std::string& path,
+                         const sketch::SketchError& error) {
+    return path + ": byte " + std::to_string(error.offset) + ": " +
+           error.message;
   };
   for (const auto& golden : kGoldens) {
     SCOPED_TRACE(golden.name);
@@ -245,21 +266,24 @@ TEST(GoldenFilesTest, TruncatedArenaGoldensFailIdenticallyOnBothLoadPaths) {
     std::size_t accepted = 0;
     for (std::size_t size = bytes.size(); size-- > 0;) {
       std::filesystem::resize_file(path, size);
-      std::string copied_error;
       std::string mapped_error;
-      const bool copied =
-          Engine::Open(path, Engine::LoadMode::kCopied, &copied_error)
-              .has_value();
-      const bool mapped =
-          Engine::Open(path, Engine::LoadMode::kMapped, &mapped_error)
-              .has_value();
-      ASSERT_EQ(copied, mapped) << "size " << size;
-      ASSERT_EQ(copied_error, mapped_error) << "size " << size;
-      if (copied) {
+      const bool mapped = Engine::Open(path, &mapped_error).has_value();
+      sketch::SketchError buffered_error;
+      const bool buffered =
+          sketch::LoadSketchFile(path, &buffered_error).has_value();
+      sketch::SketchError stream_error;
+      std::istringstream stream(bytes.substr(0, size));
+      const bool streamed =
+          sketch::ReadSketch(stream, &stream_error).has_value();
+      ASSERT_EQ(mapped, buffered) << "size " << size;
+      ASSERT_EQ(mapped, streamed) << "size " << size;
+      if (mapped) {
         ++accepted;
         continue;
       }
-      ASSERT_EQ(copied_error.rfind(path + ": byte ", 0), 0u) << copied_error;
+      ASSERT_EQ(mapped_error.rfind(path + ": byte ", 0), 0u) << mapped_error;
+      ASSERT_EQ(mapped_error, format(path, buffered_error)) << "size " << size;
+      ASSERT_EQ(mapped_error, format(path, stream_error)) << "size " << size;
     }
     EXPECT_EQ(accepted, golden.valid_prefixes);
   }

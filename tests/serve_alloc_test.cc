@@ -6,7 +6,9 @@
 // DispatchRequest (estimate and are-frequent) against a mapped SUBSAMPLE
 // file and a published STREAM-SUBSAMPLE snapshot, and for one direct
 // Engine::estimate_many / are_frequent in the flat and the
-// vector<Itemset> adapter forms.
+// vector<Itemset> adapter forms. And a published snapshot is a ready
+// image: its FIRST query allocates the same at every row width, because
+// it adopts the column section the publish wrote instead of decoding.
 //
 // This file replaces the global operator new to count allocations, so it
 // builds as its own test executable (serve_alloc_test), never inside
@@ -235,6 +237,43 @@ TEST_F(ServeAllocTest, EngineBatchedAllocationsDoNotGrowWithTheBatch) {
           << name << " " << forms[f] << ": allocations grow with the batch";
     }
   }
+}
+
+// The first estimate_many on a fresh Engine::FromFile snapshot -- what
+// the ingest thread publishes -- builds its query view over the image's
+// column section, so its allocations do not depend on d. A snapshot that
+// transposed its summary on the first query would allocate per column.
+TEST_F(ServeAllocTest, PublishedSnapshotFirstQueryDecodesNothing) {
+  std::vector<std::size_t> counts;
+  for (const std::size_t d : {std::size_t{32}, std::size_t{128}}) {
+    util::Rng rng(9);
+    const core::Database db =
+        data::PowerLawBaskets(4000, d, 1.0, 0.5, 4, 3, 0.2, rng);
+    auto built = Engine::Build(db, "STREAM-SUBSAMPLE", Params(), rng);
+    ASSERT_TRUE(built.has_value());
+    std::vector<core::Itemset> ts;
+    for (std::size_t i = 0; i < 1000; ++i) {
+      core::Itemset t(d);
+      while (t.size() < 3) t.Add(static_cast<std::size_t>(rng.UniformInt(d)));
+      ts.push_back(std::move(t));
+    }
+    const auto batch = core::QueryBatch::FromItemsets(ts);
+    std::vector<double> answers;
+    built->estimate_many(batch, &answers);  // warm the pool threads
+    const auto snapshot = Engine::FromFile(built->file());
+    ASSERT_TRUE(snapshot.has_value());
+    g_allocations.store(0);
+    g_counting.store(true);
+    std::vector<double> first;
+    snapshot->estimate_many(batch, &first);
+    g_counting.store(false);
+    counts.push_back(g_allocations.load());
+    EXPECT_EQ(first, answers) << "d=" << d;
+  }
+  std::printf("first estimate_many on a published snapshot: %zu / %zu "
+              "allocations at d = 32 / 128\n",
+              counts[0], counts[1]);
+  EXPECT_EQ(counts[0], counts[1]) << "the first query decodes per column";
 }
 
 }  // namespace

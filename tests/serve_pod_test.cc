@@ -238,7 +238,8 @@ TEST(SketchPodTest, MappedEvictionWhileQueriesInFlightIsSafe) {
   {
     const auto probe = Engine::Open(pa);
     ASSERT_TRUE(probe.has_value());
-    ASSERT_EQ(probe->load_path(), Engine::LoadPath::kMapped);
+    ASSERT_NE(probe->view().image, nullptr);
+    ASSERT_TRUE(probe->view().image->is_mapped());
   }
 
   const std::size_t each = ResidentBytesOf(pa);

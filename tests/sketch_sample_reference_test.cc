@@ -375,19 +375,27 @@ class SampleReferenceTest : public testing::TestWithParam<const char*> {
   void TearDown() override { util::ThreadPool::SetDefaultThreadCount(0); }
 };
 
-/// The built engine plus the same sketch saved at v2 and reopened mapped
-/// and copied.
+/// The built engine, the same sketch published through FromFile, and
+/// the same sketch saved and reopened: mapped from a v2 file and decoded
+/// from a v1 file (the algorithm's decoding loaders).
 std::vector<std::pair<std::string, Engine>> AllLoads(const Engine& built,
                                                      const std::string& stem) {
   std::vector<std::pair<std::string, Engine>> loads;
   loads.emplace_back("built", built);
+  auto published = Engine::FromFile(built.file());
+  EXPECT_TRUE(published.has_value());
+  if (published.has_value()) {
+    loads.emplace_back("published", *std::move(published));
+  }
   const std::string path = testing::TempDir() + "/" + stem + ".ifsk";
+  const std::string v1_path = testing::TempDir() + "/" + stem + "_v1.ifsk";
   EXPECT_TRUE(built.Save(path));
-  for (const auto& [label, mode] :
-       {std::pair{"mapped", Engine::LoadMode::kMapped},
-        std::pair{"copied", Engine::LoadMode::kCopied}}) {
+  EXPECT_TRUE(sketch::SaveSketchFile(v1_path, built.file(),
+                                     sketch::arena::kVersionLegacy));
+  for (const auto& [label, file] :
+       {std::pair{"mapped", path}, std::pair{"decoded", v1_path}}) {
     std::string error;
-    auto opened = Engine::Open(path, mode, &error);
+    auto opened = Engine::Open(file, &error);
     EXPECT_TRUE(opened.has_value()) << error;
     if (opened.has_value()) loads.emplace_back(label, *std::move(opened));
   }

@@ -1,13 +1,16 @@
-// The zero-copy mapped load path (util::MappedFile + sketch::SketchView
-// + Engine::Open's LoadMode) against the copied load path.
+// One image behind every Engine: util::MappedFile + sketch::SketchView,
+// whether the image is an mmap'd file (Engine::Open) or laid out in
+// memory (Engine::Build, Engine::FromFile).
 //
-// The contract under test: for EVERY registered algorithm, a sketch
-// opened through the mapped path answers estimate_many / are_frequent /
-// mine bit-identically to the same file opened through the copied path
-// (which drops the column section and decodes the summary); legacy v1
-// files keep loading (copied); and the image parser rejects malformed
-// arenas with the byte offset of the first bad field, never crashing on
-// mutants, and accepts only what re-serializes to the same file.
+// The contract under test: for EVERY registered algorithm, built,
+// published (FromFile) and opened engines answer estimate_many /
+// are_frequent / mine bit-identically to the decode reference
+// (sketch::LoadEstimator / LoadIndicator over LoadSketchFile, which
+// decodes the summary); legacy v1 files keep loading (decoded); the
+// image parser rejects malformed arenas with the byte offset of the
+// first bad field, never crashing on mutants, and accepts only what
+// re-serializes to the same file; and CheckColumnSection finds a column
+// section that disagrees with its summary.
 
 #include "sketch/sketch_view.h"
 
@@ -18,9 +21,11 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
@@ -93,12 +98,49 @@ std::optional<sketch::SketchView> ViewBytes(const std::string& bytes,
       util::MappedFile::FromBytes(bytes.data(), size), error);
 }
 
+/// The decode reference for `path`: the file read into owned bits and
+/// handed to the algorithm's decoding loaders.
+struct DecodeReference {
+  explicit DecodeReference(const std::string& path) {
+    auto file = sketch::LoadSketchFile(path);
+    EXPECT_TRUE(file.has_value()) << path;
+    if (!file.has_value()) return;
+    d = file->d;
+    if (file->params.answer == core::Answer::kEstimator) {
+      estimator = sketch::LoadEstimator(*file);
+    }
+    indicator = sketch::LoadIndicator(*file);
+  }
+
+  std::size_t d = 0;
+  std::unique_ptr<core::FrequencyEstimator> estimator;
+  std::unique_ptr<core::FrequencyIndicator> indicator;
+};
+
+/// The built engine, the same sketch published through FromFile, and
+/// the same sketch saved at v2 and opened.
+std::vector<std::pair<std::string, Engine>> BuiltPublishedOpened(
+    const Engine& built, const std::string& path) {
+  std::vector<std::pair<std::string, Engine>> engines;
+  engines.emplace_back("built", built);
+  auto published = Engine::FromFile(built.file());
+  EXPECT_TRUE(published.has_value());
+  if (published.has_value()) {
+    engines.emplace_back("published", *std::move(published));
+  }
+  std::string error;
+  auto opened = Engine::Open(path, &error);
+  EXPECT_TRUE(opened.has_value()) << error;
+  if (opened.has_value()) engines.emplace_back("opened", *std::move(opened));
+  return engines;
+}
+
 // ---------------------------------------------------------------------
-// Registry-driven equivalence: mapped == copied for every algorithm.
+// Registry-driven equivalence: every Engine == the decode reference.
 
-class MappedVsCopiedTest : public testing::TestWithParam<std::string> {};
+class ImageVsDecodeTest : public testing::TestWithParam<std::string> {};
 
-TEST_P(MappedVsCopiedTest, AnswersBitIdenticalAcrossLoadPaths) {
+TEST_P(ImageVsDecodeTest, AnswersMatchTheDecodeReference) {
   // Combinator registry entries list as "NAME(...)"; instantiate them
   // over SUBSAMPLE, like the golden spec does.
   std::string name = GetParam();
@@ -111,88 +153,95 @@ TEST_P(MappedVsCopiedTest, AnswersBitIdenticalAcrossLoadPaths) {
   auto built = Engine::Build(db, name, TestParams(), rng);
   ASSERT_TRUE(built.has_value());
   const std::string path =
-      SaveTemp(*built, "mapped_vs_copied_" + Sanitize(GetParam()));
+      SaveTemp(*built, "image_vs_decode_" + Sanitize(GetParam()));
+  const DecodeReference reference(path);
+  ASSERT_NE(reference.estimator, nullptr);
+  ASSERT_NE(reference.indicator, nullptr);
+  const bool row_major =
+      sketch::ResolveAlgorithm(built->file())->HasRowMajorPayload(
+          built->params());
 
-  std::string error;
-  auto mapped = Engine::Open(path, Engine::LoadMode::kMapped, &error);
-  ASSERT_TRUE(mapped.has_value()) << error;
-  auto copied = Engine::Open(path, Engine::LoadMode::kCopied, &error);
-  ASSERT_TRUE(copied.has_value()) << error;
-
-  EXPECT_EQ(mapped->load_path(), Engine::LoadPath::kMapped);
-  EXPECT_EQ(copied->load_path(), Engine::LoadPath::kCopied);
-  EXPECT_EQ(mapped->format_version(), sketch::arena::kVersionArena);
-  EXPECT_EQ(mapped->algorithm(), built->algorithm());
-
-  // estimate_many / are_frequent at the guaranteed size k.
   const auto queries = QueriesOfSize(3, 64);
-  std::vector<double> mapped_est, copied_est, built_est;
-  mapped->estimate_many(queries, &mapped_est);
-  copied->estimate_many(queries, &copied_est);
-  built->estimate_many(queries, &built_est);
-  ASSERT_EQ(mapped_est.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(mapped_est[i], copied_est[i]) << "query " << i;
-    ASSERT_EQ(mapped_est[i], built_est[i]) << "query " << i;
-  }
+  std::vector<double> want_est;
+  reference.estimator->EstimateMany(queries, &want_est);
+  std::vector<bool> want_bits;
+  reference.indicator->AreFrequent(queries, &want_bits);
+  ASSERT_EQ(want_est.size(), queries.size());
 
-  std::vector<bool> mapped_bits, copied_bits;
-  mapped->are_frequent(queries, &mapped_bits);
-  copied->are_frequent(queries, &copied_bits);
-  ASSERT_EQ(mapped_bits, copied_bits);
+  const auto engines = BuiltPublishedOpened(*built, path);
+  ASSERT_EQ(engines.size(), 3u);
+  for (const auto& [label, engine] : engines) {
+    SCOPED_TRACE(label);
+    EXPECT_EQ(engine.format_version(), sketch::arena::kVersionArena);
+    EXPECT_EQ(engine.algorithm(), built->algorithm());
+    EXPECT_TRUE(engine.file().summary.is_view());
+    // Row-major payloads carry their columns in every image, so no
+    // Engine transposes on its first query.
+    EXPECT_EQ(engine.view().columns.has_value(), row_major);
 
-  // Scalar entry points agree with the batch (and across paths).
-  ASSERT_EQ(mapped->estimate(queries[0]), copied->estimate(queries[0]));
-  ASSERT_EQ(mapped->is_frequent(queries[0]), copied->is_frequent(queries[0]));
+    std::vector<double> est;
+    engine.estimate_many(queries, &est);
+    ASSERT_EQ(est, want_est);
+    std::vector<bool> bits;
+    engine.are_frequent(queries, &bits);
+    ASSERT_EQ(bits, want_bits);
 
-  // Full Apriori run, when the algorithm answers every level.
-  bool mineable = true;
-  for (std::size_t size = 1; size <= 3; ++size) {
-    mineable = mineable && mapped->supports_query_size(size);
-  }
-  if (mineable) {
-    mining::AprioriOptions options;
-    options.min_frequency = 0.05;
-    options.max_size = 3;
-    const auto mapped_mined = mapped->mine(options);
-    const auto copied_mined = copied->mine(options);
-    ASSERT_EQ(mapped_mined.size(), copied_mined.size());
-    for (std::size_t i = 0; i < mapped_mined.size(); ++i) {
-      ASSERT_EQ(mapped_mined[i].itemset.Attributes(),
-                copied_mined[i].itemset.Attributes());
-      ASSERT_EQ(mapped_mined[i].frequency, copied_mined[i].frequency);
+    // Scalar entry points agree with the reference too.
+    ASSERT_EQ(engine.estimate(queries[0]),
+              reference.estimator->EstimateFrequency(queries[0]));
+    ASSERT_EQ(engine.is_frequent(queries[0]),
+              reference.indicator->IsFrequent(queries[0]));
+
+    // Full Apriori run, when the algorithm answers every level.
+    bool mineable = true;
+    for (std::size_t size = 1; size <= 3; ++size) {
+      mineable = mineable && engine.supports_query_size(size);
+    }
+    if (mineable) {
+      mining::AprioriOptions options;
+      options.min_frequency = 0.05;
+      options.max_size = 3;
+      const auto mined = engine.mine(options);
+      const auto want_mined = mining::MineWithEstimatorBatched(
+          *reference.estimator, reference.d, options);
+      ASSERT_EQ(mined.size(), want_mined.size());
+      for (std::size_t i = 0; i < mined.size(); ++i) {
+        ASSERT_EQ(mined[i].itemset.Attributes(),
+                  want_mined[i].itemset.Attributes());
+        ASSERT_EQ(mined[i].frequency, want_mined[i].frequency);
+      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, MappedVsCopiedTest,
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ImageVsDecodeTest,
                          testing::ValuesIn(Engine::KnownAlgorithms()),
                          [](const auto& info) { return Sanitize(info.param); });
 
 // Indicator-flavored sketches exercise LoadIndicatorFromColumns.
-TEST(MappedLoadTest, IndicatorFlavorBitIdenticalAcrossLoadPaths) {
+TEST(EngineImageTest, IndicatorFlavorMatchesTheDecodeReference) {
   const core::Database db = TestDb();
   util::Rng rng(5);
   auto built = Engine::Build(db, "SUBSAMPLE",
                              TestParams(core::Answer::kIndicator), rng);
   ASSERT_TRUE(built.has_value());
-  const std::string path = SaveTemp(*built, "mapped_indicator");
-
-  auto mapped = Engine::Open(path, Engine::LoadMode::kMapped);
-  auto copied = Engine::Open(path, Engine::LoadMode::kCopied);
-  ASSERT_TRUE(mapped.has_value());
-  ASSERT_TRUE(copied.has_value());
+  const std::string path = SaveTemp(*built, "image_indicator");
+  const DecodeReference reference(path);
+  ASSERT_NE(reference.indicator, nullptr);
   const auto queries = QueriesOfSize(3, 64);
-  std::vector<bool> mapped_bits, copied_bits;
-  mapped->are_frequent(queries, &mapped_bits);
-  copied->are_frequent(queries, &copied_bits);
-  EXPECT_EQ(mapped_bits, copied_bits);
+  std::vector<bool> want;
+  reference.indicator->AreFrequent(queries, &want);
+  for (const auto& [label, engine] : BuiltPublishedOpened(*built, path)) {
+    std::vector<bool> bits;
+    engine.are_frequent(queries, &bits);
+    EXPECT_EQ(bits, want) << label;
+  }
 }
 
 // ---------------------------------------------------------------------
-// Load-path selection and metadata.
+// Where the image lives, and metadata.
 
-TEST(MappedLoadTest, AutoMapsArenaFilesAndCopiesLegacyFiles) {
+TEST(EngineImageTest, OpenMapsArenaFilesAndDecodesLegacyFiles) {
   const core::Database db = TestDb();
   util::Rng rng(7);
   auto built = Engine::Build(db, "SUBSAMPLE", TestParams(), rng);
@@ -205,56 +254,74 @@ TEST(MappedLoadTest, AutoMapsArenaFilesAndCopiesLegacyFiles) {
 
   auto v2 = Engine::Open(v2_path);
   ASSERT_TRUE(v2.has_value());
-  EXPECT_EQ(v2->load_path(), Engine::LoadPath::kMapped);
+  ASSERT_NE(v2->view().image, nullptr);
+  EXPECT_TRUE(v2->view().image->is_mapped());
   EXPECT_EQ(v2->format_version(), sketch::arena::kVersionArena);
   EXPECT_TRUE(v2->file().summary.is_view());
 
   auto v1 = Engine::Open(v1_path);
   ASSERT_TRUE(v1.has_value());
-  EXPECT_EQ(v1->load_path(), Engine::LoadPath::kCopied);
+  EXPECT_EQ(v1->view().image, nullptr);
+  EXPECT_FALSE(v1->view().columns.has_value());
   EXPECT_EQ(v1->format_version(), sketch::arena::kVersionLegacy);
   EXPECT_FALSE(v1->file().summary.is_view());
+
+  // A built engine queries a private image of the same v2 bytes.
+  ASSERT_NE(built->view().image, nullptr);
+  EXPECT_FALSE(built->view().image->is_mapped());
+  EXPECT_EQ(built->format_version(), sketch::arena::kVersionArena);
 
   // Same summary bits through every representation.
   EXPECT_EQ(v1->file().summary, v2->file().summary);
   EXPECT_EQ(v1->file().summary, built->file().summary);
 
-  // Forcing kMapped on a v1 file fails with a version-shaped error.
-  std::string error;
-  EXPECT_FALSE(
-      Engine::Open(v1_path, Engine::LoadMode::kMapped, &error).has_value());
-  EXPECT_NE(error.find("v1"), std::string::npos);
-
-  // info() names the load path and format so operators can confirm
-  // zero-copy is active.
+  // info() says where the image lives and the format, so operators can
+  // confirm zero-copy is active.
   EXPECT_NE(v2->info().find("mapped"), std::string::npos);
   EXPECT_NE(v2->info().find("v2"), std::string::npos);
-  EXPECT_NE(v1->info().find("copied"), std::string::npos);
+  EXPECT_NE(v1->info().find("decoded"), std::string::npos);
+  EXPECT_NE(built->info().find("in-memory image"), std::string::npos);
 }
 
-TEST(MappedLoadTest, ResidentBytesIsMappedImageSize) {
+// A trailer-less saved file IS the built engine's image, byte for byte,
+// so every v2 Engine pins the same bytes: summary plus column section.
+TEST(EngineImageTest, ResidentBytesIsTheImageSize) {
   const core::Database db = TestDb();
   util::Rng rng(11);
   auto built = Engine::Build(db, "RELEASE-DB", TestParams(), rng);
   ASSERT_TRUE(built.has_value());
   const std::string path = SaveTemp(*built, "resident_bytes");
+  const std::string bytes = ReadBytes(path);
 
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const std::size_t file_size = static_cast<std::size_t>(in.tellg());
+  ASSERT_NE(built->view().image, nullptr);
+  ASSERT_EQ(built->view().image->size(), bytes.size());
+  EXPECT_EQ(std::memcmp(built->view().image->data(), bytes.data(),
+                        bytes.size()),
+            0);
+  EXPECT_EQ(built->resident_bytes(), bytes.size());
+  EXPECT_GT(built->resident_bytes(), 2 * ((built->summary_bits() + 7) / 8))
+      << "the column section counts";
 
-  auto mapped = Engine::Open(path, Engine::LoadMode::kMapped);
+  auto published = Engine::FromFile(built->file());
+  ASSERT_TRUE(published.has_value());
+  EXPECT_EQ(published->resident_bytes(), bytes.size());
+
+  auto mapped = Engine::Open(path);
   ASSERT_TRUE(mapped.has_value());
-  EXPECT_EQ(mapped->resident_bytes(), file_size);
+  EXPECT_EQ(mapped->resident_bytes(), bytes.size());
 
-  auto copied = Engine::Open(path, Engine::LoadMode::kCopied);
-  ASSERT_TRUE(copied.has_value());
-  EXPECT_EQ(copied->resident_bytes(), (copied->summary_bits() + 7) / 8);
+  const std::string v1_path = testing::TempDir() + "/resident_bytes_v1.ifsk";
+  ASSERT_TRUE(sketch::SaveSketchFile(v1_path, built->file(),
+                                     sketch::arena::kVersionLegacy));
+  auto decoded = Engine::Open(v1_path);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->resident_bytes(), (decoded->summary_bits() + 7) / 8);
 }
 
 // A mapped engine must stay fully usable after the optional that carried
 // it is gone and after copies of it are destroyed (the mapping is
 // refcounted through every copy).
-TEST(MappedLoadTest, MappedEngineSurvivesCopyAndMove) {
+TEST(EngineImageTest, MappedEngineSurvivesCopyAndMove) {
   const core::Database db = TestDb();
   util::Rng rng(13);
   auto built = Engine::Build(db, "SUBSAMPLE", TestParams(), rng);
@@ -266,7 +333,7 @@ TEST(MappedLoadTest, MappedEngineSurvivesCopyAndMove) {
 
   std::vector<double> got;
   {
-    auto opened = Engine::Open(path, Engine::LoadMode::kMapped);
+    auto opened = Engine::Open(path);
     ASSERT_TRUE(opened.has_value());
     Engine moved = *std::move(opened);
     opened.reset();
@@ -277,6 +344,50 @@ TEST(MappedLoadTest, MappedEngineSurvivesCopyAndMove) {
     }
     moved.estimate_many(queries, &got);
     ASSERT_EQ(got, expected);
+  }
+}
+
+// ---------------------------------------------------------------------
+// The column-section check the parser leaves out.
+
+TEST(ColumnSectionCheckTest, EveryArenaGoldenPasses) {
+  const std::string dir = IFSKETCH_TEST_DATA_DIR;
+  for (const char* name :
+       {"release_db_v2.ifsk", "release_db_v2_crc.ifsk",
+        "median_boost_subsample_v2.ifsk"}) {
+    const auto view =
+        sketch::ViewSketchImage(util::MappedFile::Open(dir + "/" + name));
+    ASSERT_TRUE(view.has_value()) << name;
+    sketch::SketchError error;
+    EXPECT_TRUE(sketch::CheckColumnSection(*view, &error))
+        << name << ": byte " << error.offset << ": " << error.message;
+  }
+}
+
+// One flipped bit in the first column word parses (the parser checks
+// the section's shape, not its contents) but fails the check, at the
+// byte offset of that word: the column section's start.
+TEST(ColumnSectionCheckTest, FlippedColumnWordIsFoundAtItsOffset) {
+  const std::string golden =
+      std::string(IFSKETCH_TEST_DATA_DIR) + "/release_db_v2.ifsk";
+  std::string bytes = ReadBytes(golden);
+  const auto clean = ViewBytes(bytes, bytes.size());
+  ASSERT_TRUE(clean.has_value());
+  ASSERT_TRUE(clean->columns.has_value());
+  const std::size_t column_at = static_cast<std::size_t>(
+      reinterpret_cast<const unsigned char*>(clean->columns->words) -
+      clean->image->data());
+  ASSERT_EQ(column_at, 4160u);  // the golden's pinned layout
+
+  for (const std::size_t word : {std::size_t{0}, std::size_t{7}}) {
+    std::string flipped = bytes;
+    flipped[column_at + 8 * word] ^= 1;
+    const auto view = ViewBytes(flipped, flipped.size());
+    ASSERT_TRUE(view.has_value());
+    sketch::SketchError error;
+    EXPECT_FALSE(sketch::CheckColumnSection(*view, &error));
+    EXPECT_EQ(error.offset, column_at + 8 * word);
+    EXPECT_EQ(error.message, "column section disagrees with summary");
   }
 }
 
@@ -314,7 +425,8 @@ TEST_F(ArenaImageTest, RejectsTruncation) {
 
 // The version field selects the payload rule: relabeled v1, the same
 // header reads the bytes after it as a byte-packed payload (owned bits,
-// no column section), and a mapped Engine::Open refuses such a file.
+// no column section), and Engine::Open decodes such a file rather than
+// viewing it.
 TEST_F(ArenaImageTest, VersionFieldSelectsTheLegacyRule) {
   bytes_[4] = 1;  // version u16 low byte
   const auto view = View();
@@ -326,9 +438,10 @@ TEST_F(ArenaImageTest, VersionFieldSelectsTheLegacyRule) {
   const std::string path = testing::TempDir() + "/arena_image_as_v1.ifsk";
   std::ofstream(path, std::ios::binary) << bytes_;
   std::string error;
-  EXPECT_FALSE(
-      Engine::Open(path, Engine::LoadMode::kMapped, &error).has_value());
-  EXPECT_NE(error.find("v1"), std::string::npos) << error;
+  const auto engine = Engine::Open(path, &error);
+  ASSERT_TRUE(engine.has_value()) << error;
+  EXPECT_EQ(engine->format_version(), sketch::arena::kVersionLegacy);
+  EXPECT_EQ(engine->view().image, nullptr);
 }
 
 TEST_F(ArenaImageTest, RejectsUnknownVersion) {

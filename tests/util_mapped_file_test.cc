@@ -1,6 +1,6 @@
 // util::MappedFile: identical bytes and alignment on the mmap,
-// read-whole-file and in-memory-copy paths, RAII release, and error
-// reporting.
+// read-whole-file and in-memory-copy paths, zero-filled writable images,
+// RAII release, and error reporting.
 
 #include "util/mapped_file.h"
 
@@ -69,6 +69,24 @@ TEST(MappedFileTest, EmptyFileYieldsEmptyImage) {
     ASSERT_NE(file, nullptr);
     EXPECT_EQ(file->size(), 0u);
   }
+}
+
+// The image writer leaves padding unwritten, so every allocation must
+// arrive zero-filled and aligned -- also when it reuses the memory of a
+// released image of the same size.
+TEST(MappedFileTest, AllocateIsZeroFilledEvenWhenReused) {
+  for (int round = 0; round < 3; ++round) {
+    auto image = MappedFile::Allocate(20000);
+    ASSERT_NE(image, nullptr);
+    ASSERT_EQ(image->size(), 20000u);
+    EXPECT_FALSE(image->is_mapped());
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(image->data()) % 64, 0u);
+    for (std::size_t i = 0; i < image->size(); ++i) {
+      ASSERT_EQ(image->data()[i], 0) << "round " << round << " byte " << i;
+    }
+    std::memset(image->mutable_data(), 0xff, image->size());
+  }
+  EXPECT_EQ(MappedFile::Allocate(0)->size(), 0u);
 }
 
 TEST(MappedFileTest, MissingFileReportsError) {

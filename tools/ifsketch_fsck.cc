@@ -4,11 +4,14 @@
 //
 // Each PATH is either an IFSK sketch file or a WAL directory (see
 // src/ingest/wal.h). Files are opened exactly as a server or the CLI
-// opens them: Engine::Open with LoadMode::kCopied and, for arena v2,
-// also kMapped. So fsck accepts exactly what every load path accepts --
-// the image parser's framing and optional CRC32C integrity trailer, the
-// producing algorithm's registration, and a summary payload of the size
-// that algorithm emits for the recorded shape. Directories get the
+// opens them, once, through Engine::Open -- so fsck accepts exactly what
+// they accept: the image parser's framing and optional CRC32C integrity
+// trailer, the producing algorithm's registration, and a summary
+// payload of the size that algorithm emits for the recorded shape. On
+// top of that it runs the one check the parser leaves out, because it
+// costs a pass over the payload: a v2 column section must be the
+// transpose of the summary (sketch::CheckColumnSection), since every
+// query reads the section directly. Directories get the
 // full WAL walk: checkpoint magic/CRC/decodability (the named algorithm
 // must exist and accept the saved builder state), segment chaining, and
 // every record frame; a torn tail in the last segment is recoverable by
@@ -20,14 +23,12 @@
 // scripts can gate a deploy on it.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "engine.h"
 #include "ingest/wal.h"
-#include "sketch/sketch_file.h"
+#include "sketch/sketch_view.h"
 
 namespace {
 
@@ -40,38 +41,27 @@ int Usage() {
   return 2;
 }
 
-/// True when the (already fully validated) file ends with the integrity
-/// trailer, so the report can say whether corruption would be caught.
-bool HasTrailer(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const std::streamoff size = in.tellg();
-  if (!in || size < static_cast<std::streamoff>(sketch::arena::kTrailerBytes)) {
-    return false;
-  }
-  char magic[4];
-  in.seekg(size - static_cast<std::streamoff>(sketch::arena::kTrailerBytes));
-  in.read(magic, 4);
-  return in &&
-         std::memcmp(magic, sketch::arena::kTrailerMagic, 4) == 0;
-}
-
-/// Verifies one sketch file through every load path that applies to it;
-/// a failure prints Engine::Open's diagnostic.
+/// Verifies one sketch file; a failure prints Engine::Open's diagnostic
+/// or the column check's "path: byte N: reason".
 bool VerifySketchFile(const std::string& path) {
   std::string error;
-  const auto engine = Engine::Open(path, Engine::LoadMode::kCopied, &error);
+  const auto engine = Engine::Open(path, &error);
   if (!engine.has_value()) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return false;
   }
-  if (engine->format_version() == sketch::arena::kVersionArena &&
-      !Engine::Open(path, Engine::LoadMode::kMapped, &error).has_value()) {
-    std::fprintf(stderr, "%s\n", error.c_str());
+  sketch::SketchError column_error;
+  if (!sketch::CheckColumnSection(engine->view(), &column_error)) {
+    std::fprintf(stderr, "%s: byte %llu: %s\n", path.c_str(),
+                 static_cast<unsigned long long>(column_error.offset),
+                 column_error.message.c_str());
     return false;
   }
+  // Only the parser knows whether a trailer was verified: v1 files
+  // carry none, whatever bytes follow their payload.
   std::printf("%s: ok (v%u, %s, %s, %zu-bit summary)\n", path.c_str(),
               engine->format_version(), engine->algorithm().c_str(),
-              HasTrailer(path) ? "crc32c trailer" : "no checksum",
+              engine->view().checksummed ? "crc32c trailer" : "no checksum",
               engine->summary_bits());
   return true;
 }

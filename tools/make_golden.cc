@@ -15,14 +15,14 @@
 // plus, for the first algorithm only,
 //   <slug>_v2.ifsk       the same summary framed at arena v2 (aligned
 //                        word sections; sketch_file.h) -- the golden for
-//                        the zero-copy mapped load path, which must
+//                        the zero-copy mapped Engine::Open, which must
 //                        answer bit-identically to the v1 file
 // and, for MEDIAN-BOOST(SUBSAMPLE),
 //   <slug>_v2.ifsk       its summary at arena v2 with the summary section
 //                        alone (ColumnSection::kOmit): the framing
 //                        MEDIAN-BOOST files had before the algorithm
-//                        reported a row-major payload, which both load
-//                        paths must keep answering bit-identically
+//                        reported a row-major payload, which must keep
+//                        answering bit-identically
 //
 // Regenerating is only legitimate when a PR deliberately changes the
 // serialized format or an algorithm's sampling; answers must never drift
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
       std::printf("wrote %s (arena v2, same summary bits)\n",
                   v2_path.c_str());
       // The same v2 bytes plus the CRC32C integrity trailer: golden for
-      // the checksum-validating variants of both load paths.
+      // trailer validation on every reader.
       const std::string crc_path = out_dir + "/" + slug + "_v2_crc.ifsk";
       if (!sketch::SaveSketchFile(crc_path, engine->file(),
                                   sketch::arena::kVersionArena,
