@@ -9,11 +9,12 @@
 // (serve/reactor.h) over 127.0.0.1 TCP -- the full encode/frame/socket/
 // dispatch/decode/route/encode path -- at 1/2/4/8 concurrent clients.
 // Each served client owns one connection; all connections share one
-// Router, whose requests run side by side on the reactor's dispatch
-// workers, one engine call each. The `served_loopback` rows keep the name they had when they
-// crossed an in-process byte queue instead of a socket; since the
-// reactor became the only server loop they include the loopback socket
-// cost, so rows from before that change are not comparable.
+// Router, whose requests run side by side on the reactor's event loops,
+// one engine call each. The `served_loopback` rows keep the name they
+// had when they crossed an in-process byte queue instead of a socket;
+// since the reactor became the only server loop they include the
+// loopback socket cost, so rows from before that change are not
+// comparable.
 //
 // Two replication scenarios ride along, both on a 2-pod router with
 // every name on both pods (R=2), 4 clients:

@@ -15,12 +15,12 @@
 // (serve/protocol.h) through the epoll reactor (serve/reactor.h):
 // --loop-threads event loops multiplex every connection, clients may
 // pipeline many request frames per connection (replies come back in
-// request order), and heavy work runs on the dispatch pool + query
-// thread pool so a loop never blocks. Each request runs as one Engine
-// call on a dispatch worker, concurrent requests side by side, and a
-// replica that fails is failed over transparently. Sketch files load on
-// first use and stay resident under the per-pod byte budget (LRU
-// eviction).
+// request order), and each loop answers the frames it reads on its own
+// thread -- one Engine call per request, fanned out on the --threads
+// query pool -- while a SUBSCRIBE waits parked, holding no thread.
+// Requests on different loops run side by side, and a replica that
+// fails is failed over transparently. Sketch files load on first use
+// and stay resident under the per-pod byte budget (LRU eviction).
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops accepting,
 // in-flight connections drain, the --ingest-save snapshot (if any) is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <utility>
 
 namespace ifsketch::serve {
@@ -79,6 +78,7 @@ std::uint64_t SketchPod::Publish(const std::string& name,
   // entries), so making room only displaces file-backed residents.
   if (byte_budget_ != kUnlimited) EvictToFitLocked(byte_budget_);
   cv_.notify_all();
+  if (publish_hook_) publish_hook_();
   return entry.epoch;
 }
 
@@ -107,14 +107,8 @@ bool SketchPod::WaitForEpoch(const std::string& name, std::uint64_t min_epoch,
 
 std::shared_ptr<const Engine> SketchPod::Acquire(const std::string& name) {
   std::unique_lock<std::mutex> lock(mu_);
-  // Fault hooks first: a faulted pod refuses (or stalls) before touching
-  // its catalog, exactly like a dead or wedged replica would.
-  if (fault_.acquire_delay.count() > 0) {
-    const auto delay = fault_.acquire_delay;
-    lock.unlock();
-    std::this_thread::sleep_for(delay);
-    lock.lock();
-  }
+  // A faulted pod refuses before touching its catalog, exactly like a
+  // dead replica would.
   if (fault_.fail_acquire) return nullptr;
   auto it = catalog_.find(name);
   if (it == catalog_.end()) return nullptr;
@@ -227,9 +221,9 @@ void SketchPod::SetFault(const PodFault& fault) {
   fault_ = fault;
 }
 
-PodFault SketchPod::fault() const {
+void SketchPod::SetPublishHook(std::function<void()> hook) {
   std::lock_guard<std::mutex> lock(mu_);
-  return fault_;
+  publish_hook_ = std::move(hook);
 }
 
 void SketchPod::EvictToFitLocked(std::size_t budget) {

@@ -26,17 +26,19 @@
 // Stream-published sketches (the ingest path, src/ingest/) have no
 // backing file: Publish() swaps in each freshly built snapshot with the
 // same shared_ptr discipline, bumps the per-name epoch (0 = nothing
-// published yet), and wakes WaitForEpoch subscribers. Published
-// snapshots are explicitly placed hot objects: they count against the
-// byte budget -- displacing file-backed LRU residents -- but are never
-// eviction victims themselves, because there is no path to reload them
-// from; only the next Publish replaces one.
+// published yet), wakes WaitForEpoch callers and calls the publish hook
+// (the reactor's, which answers parked SUBSCRIBEs). Published snapshots
+// are explicitly placed hot objects: they count against the byte budget
+// -- displacing file-backed LRU residents -- but are never eviction
+// victims themselves, because there is no path to reload them from;
+// only the next Publish replaces one.
 #ifndef IFSKETCH_SERVE_POD_H_
 #define IFSKETCH_SERVE_POD_H_
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,8 +83,6 @@ struct PodFault {
   /// Every Acquire returns nullptr (the pod "refuses" to serve), which
   /// the router counts as a pod failure and fails over past.
   bool fail_acquire = false;
-  /// Every Acquire stalls this long first (a wedged or thrashing pod).
-  std::chrono::milliseconds acquire_delay{0};
 };
 
 /// Hosts many named sketches behind one byte budget.
@@ -117,7 +117,7 @@ class SketchPod {
   /// own shared_ptr. Published snapshots are pinned -- they count
   /// against the byte budget (file-backed residents are evicted to make
   /// room) but are never evicted themselves, only replaced by the next
-  /// Publish. Wakes all WaitForEpoch waiters.
+  /// Publish. Wakes all WaitForEpoch waiters and calls the publish hook.
   std::uint64_t Publish(const std::string& name,
                         std::shared_ptr<const Engine> engine,
                         std::uint64_t rows_seen);
@@ -168,7 +168,13 @@ class SketchPod {
   /// Installs (or, with a default-constructed PodFault, clears) the
   /// fault hooks. Thread-safe; takes effect on the next Acquire.
   void SetFault(const PodFault& fault);
-  PodFault fault() const;
+
+  /// Installs (or, with an empty function, removes) the hook every
+  /// Publish calls on the publishing thread under the pod's lock, so no
+  /// call of the old hook runs once this returns. It must be cheap and
+  /// must not call back into the pod: the reactor's writes its loops'
+  /// eventfds (serve/reactor.h).
+  void SetPublishHook(std::function<void()> hook);
 
  private:
   /// Registry series backing one catalog entry's counters, resolved
@@ -212,6 +218,7 @@ class SketchPod {
   std::size_t resident_bytes_ = 0;
   std::uint64_t lru_clock_ = 0;
   PodFault fault_;  // failover-test hooks, default all-off
+  std::function<void()> publish_hook_;  // empty unless a reactor serves
 };
 
 }  // namespace ifsketch::serve

@@ -9,13 +9,15 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -36,35 +38,42 @@ constexpr std::size_t kReadBudget = 256 * 1024;
 /// iovec spans per writev call (well under IOV_MAX everywhere).
 constexpr int kMaxIov = 64;
 
+using Clock = std::chrono::steady_clock;
+
 }  // namespace
 
 struct ReactorServer::Impl {
-  /// One reply slot, created at frame arrival in request order. A
-  /// dispatch worker fills it (done flips under mu); the loop writes the
-  /// done prefix of the deque. Slots are only popped after being fully
-  /// written, and deque push/pop at the ends never moves other elements,
-  /// so a worker's slot pointer stays valid for the task's lifetime.
+  /// One reply slot, created at frame arrival in request order and
+  /// filled there -- or, for a parked SUBSCRIBE, when the loop answers
+  /// it. The loop writes the done prefix of the deque. Slots are only
+  /// popped after being fully written, and deque push/pop at the ends
+  /// never moves other elements, so a parked slot's pointer stays valid
+  /// until it is answered.
   struct PendingReply {
     bool done = false;
     char header[kFrameHeaderBytes];
     std::string body;
   };
 
+  /// One client connection; only its loop thread touches it.
   struct Conn {
     int fd = -1;
-    std::size_t loop = 0;
-    FrameDecoder decoder;  // loop thread only
-
-    std::mutex mu;  // guards everything below
+    FrameDecoder decoder;
     std::deque<PendingReply> pending;
-    std::size_t inflight = 0;        // dispatched, slot not yet done
     std::size_t outbound_bytes = 0;  // done-but-unwritten reply bytes
     std::size_t write_off = 0;       // bytes of pending.front() written
+    std::uint32_t interest = EPOLLIN;  // epoll events armed
     bool paused = false;             // EPOLLIN dropped (backpressure)
-    bool want_write = false;         // EPOLLOUT armed
     bool read_done = false;          // EOF or malformed: no more requests
     bool overflow = false;           // outbound hard cap tripped
     bool dead = false;               // fd closed, detached from its loop
+  };
+
+  /// A SUBSCRIBE waiting in `slot` of `conn`'s reply queue.
+  struct Parked {
+    std::shared_ptr<Conn> conn;
+    PendingReply* slot = nullptr;
+    ParkedSubscribe subscribe;
   };
 
   struct Loop {
@@ -78,10 +87,14 @@ struct ReactorServer::Impl {
     // through the batch and the set marks it skippable.
     std::vector<std::shared_ptr<Conn>> graveyard;
     std::unordered_set<Conn*> closed_in_batch;
-    // Cross-thread inbox, drained on eventfd wakeups.
+    // Parked SUBSCRIBEs of live connections, swept when the eventfd
+    // fires (a publish) and when next_deadline, the earliest of their
+    // deadlines, passes.
+    std::vector<Parked> parked;
+    Clock::time_point next_deadline = Clock::time_point::max();
+    // Accepted sockets from loop 0, drained on eventfd wakeups.
     std::mutex inbox_mu;
     std::vector<std::shared_ptr<Conn>> incoming;
-    std::vector<std::shared_ptr<Conn>> completions;
 
     obs::Gauge* g_conns = nullptr;
     obs::Gauge* g_outbound = nullptr;
@@ -107,20 +120,12 @@ struct ReactorServer::Impl {
   std::mutex drain_mu;
   std::condition_variable drain_cv;
 
-  std::vector<std::thread> workers;
-  std::mutex work_mu;
-  std::condition_variable work_cv;
-  std::deque<std::function<void()>> work;
-  bool work_stop = false;
-
   Impl(Router& r, ReactorOptions o) : router(r), options(o) {
     if (options.loop_threads == 0) {
       const unsigned hw = std::thread::hardware_concurrency();
       options.loop_threads = hw == 0 ? 1 : hw;
     }
-    if (options.dispatch_threads == 0) {
-      options.dispatch_threads = std::max<std::size_t>(4, options.loop_threads);
-    }
+    options.loop_threads += options.dispatch_threads;
   }
 
   ~Impl() { Shutdown(); }
@@ -185,9 +190,13 @@ struct ReactorServer::Impl {
     for (std::size_t i = 0; i < loops.size(); ++i) {
       loops[i]->thread = std::thread([this, i] { LoopMain(i); });
     }
-    workers.reserve(options.dispatch_threads);
-    for (std::size_t i = 0; i < options.dispatch_threads; ++i) {
-      workers.emplace_back([this] { WorkerMain(); });
+    // Publishes wake every loop; the hook runs on the publishing thread
+    // and only writes eventfds. `loops` is fixed from here until
+    // Shutdown removes the hooks.
+    for (const auto& pod : router.pods()) {
+      pod->SetPublishHook([this] {
+        for (const auto& loop : loops) Wake(*loop);
+      });
     }
     return true;
   }
@@ -198,22 +207,15 @@ struct ReactorServer::Impl {
       listen_fd = -1;
       return;
     }
+    // Once removed, no publish is still writing to the eventfds closed
+    // below (the pod calls its hook under its own lock).
+    for (const auto& pod : router.pods()) pod->SetPublishHook(nullptr);
     StopAccepting();
     stopping.store(true, std::memory_order_release);
     for (auto& loop : loops) Wake(*loop);
     for (auto& loop : loops) {
       if (loop->thread.joinable()) loop->thread.join();
     }
-    {
-      std::lock_guard<std::mutex> lock(work_mu);
-      work_stop = true;
-      work.clear();  // queued tasks are for closed connections
-    }
-    work_cv.notify_all();
-    for (std::thread& w : workers) {
-      if (w.joinable()) w.join();
-    }
-    workers.clear();
     for (auto& loop : loops) {
       if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
       if (loop->event_fd >= 0) ::close(loop->event_fd);
@@ -228,10 +230,11 @@ struct ReactorServer::Impl {
     // shutdown(2) (not close) so loop 0's registration stays valid; the
     // loop sees EPOLLIN/HUP, accept fails, and it deregisters itself.
     if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
-    {
-      // An empty-but-stopped server must release WaitDrained.
-      std::lock_guard<std::mutex> lock(drain_mu);
-    }
+    NotifyDrain();  // an empty-but-stopped server must release WaitDrained
+  }
+
+  void NotifyDrain() {
+    { std::lock_guard<std::mutex> lock(drain_mu); }
     drain_cv.notify_all();
   }
 
@@ -255,18 +258,21 @@ struct ReactorServer::Impl {
     Loop& loop = *loops[index];
     epoll_event events[128];
     for (;;) {
-      const int n = ::epoll_wait(loop.epoll_fd, events, 128, -1);
+      const int n =
+          ::epoll_wait(loop.epoll_fd, events, 128, WaitTimeoutMs(loop));
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
       }
       loop.c_wakeups->Add();
+      bool notified = false;
       for (int i = 0; i < n; ++i) {
         void* tag = events[i].data.ptr;
         if (tag == nullptr) {
           std::uint64_t drained = 0;
           [[maybe_unused]] ssize_t r =
               ::read(loop.event_fd, &drained, sizeof(drained));
+          notified = true;
         } else if (tag == this) {
           AcceptReady();
         } else {
@@ -285,27 +291,39 @@ struct ReactorServer::Impl {
         }
       }
       ProcessInbox(loop);
-      loop.graveyard.clear();
-      loop.closed_in_batch.clear();
+      if (!loop.parked.empty() &&
+          (notified || Clock::now() >= loop.next_deadline)) {
+        SweepParked(loop);
+      }
       if (stopping.load(std::memory_order_acquire)) {
+        loop.parked.clear();
         std::vector<std::shared_ptr<Conn>> all;
         all.reserve(loop.conns.size());
         for (auto& [fd, conn] : loop.conns) all.push_back(conn);
         for (auto& conn : all) CloseConn(loop, conn);
-        loop.graveyard.clear();
-        loop.closed_in_batch.clear();
         return;
       }
+      loop.graveyard.clear();
+      loop.closed_in_batch.clear();
     }
+  }
+
+  /// epoll_wait's timeout: none while nothing is parked, else up to the
+  /// earliest parked deadline, rounded up to whole milliseconds so the
+  /// loop never wakes before it and spins.
+  static int WaitTimeoutMs(const Loop& loop) {
+    if (loop.parked.empty()) return -1;
+    const Clock::duration left = loop.next_deadline - Clock::now();
+    if (left <= Clock::duration::zero()) return 0;
+    return static_cast<int>(
+        std::chrono::ceil<std::chrono::milliseconds>(left).count());
   }
 
   void ProcessInbox(Loop& loop) {
     std::vector<std::shared_ptr<Conn>> incoming;
-    std::vector<std::shared_ptr<Conn>> completions;
     {
       std::lock_guard<std::mutex> lock(loop.inbox_mu);
       incoming.swap(loop.incoming);
-      completions.swap(loop.completions);
     }
     for (auto& conn : incoming) {
       if (stopping.load(std::memory_order_acquire)) {
@@ -323,28 +341,13 @@ struct ReactorServer::Impl {
       loop.g_conns->Add(1);
       loop.conns.emplace(fd, std::move(conn));
     }
-    for (auto& conn : completions) {
-      bool dead;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        dead = conn->dead;
-      }
-      if (!dead) TryFlush(loop, conn);
-    }
   }
 
   /// An accepted connection that never reached its loop's epoll set.
   void DropUnregistered(const std::shared_ptr<Conn>& conn) {
     ::close(conn->fd);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->dead = true;
-    }
     open_conns.fetch_sub(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard<std::mutex> lock(drain_mu);
-    }
-    drain_cv.notify_all();
+    NotifyDrain();
   }
 
   void AcceptReady() {
@@ -376,10 +379,9 @@ struct ReactorServer::Impl {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_shared<Conn>();
       conn->fd = fd;
-      conn->loop = next_loop++ % loops.size();
       open_conns.fetch_add(1, std::memory_order_acq_rel);
       accepted.fetch_add(1, std::memory_order_relaxed);
-      Loop& target = *loops[conn->loop];
+      Loop& target = *loops[next_loop++ % loops.size()];
       {
         std::lock_guard<std::mutex> lock(target.inbox_mu);
         target.incoming.push_back(std::move(conn));
@@ -388,6 +390,8 @@ struct ReactorServer::Impl {
     }
   }
 
+  /// Reads what the socket holds (up to the budget), answers every
+  /// complete frame on this thread, then flushes the burst's replies.
   void HandleReadable(Loop& loop, const std::shared_ptr<Conn>& conn) {
     char buf[kReadChunk];
     std::size_t total = 0;
@@ -395,7 +399,7 @@ struct ReactorServer::Impl {
       const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
       if (n < 0) {
         if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         CloseConn(loop, conn);
         return;
       }
@@ -405,7 +409,7 @@ struct ReactorServer::Impl {
       }
       std::size_t off = 0;
       bool malformed = false;
-      while (off < static_cast<std::size_t>(n)) {
+      while (off < static_cast<std::size_t>(n) && !conn->overflow) {
         std::size_t used = 0;
         const FrameDecoder::Step step = conn->decoder.Consume(
             buf + off, static_cast<std::size_t>(n) - off, &used);
@@ -415,15 +419,7 @@ struct ReactorServer::Impl {
           malformed = true;
           break;
         }
-        Frame frame = conn->decoder.take();
-        PendingReply* slot = nullptr;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->pending.emplace_back();
-          slot = &conn->pending.back();
-          ++conn->inflight;
-        }
-        Submit(conn, slot, std::move(frame));
+        Dispatch(loop, conn, conn->decoder.take());
       }
       if (malformed) {
         // The protocol.h contract: answer what was already read (the
@@ -432,20 +428,80 @@ struct ReactorServer::Impl {
         FailConnRead(loop, conn, "malformed frame");
         return;
       }
-      bool pause = false;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        pause = conn->pending.size() >= options.max_outstanding ||
-                conn->outbound_bytes >= options.pause_outbound_bytes;
-        conn->paused = pause;
-      }
-      if (pause) {
-        UpdateInterest(loop, conn.get());
-        return;
+      if (conn->overflow) break;  // TryFlush hangs up
+      if (conn->pending.size() >= options.max_outstanding ||
+          conn->outbound_bytes >= options.pause_outbound_bytes) {
+        conn->paused = true;
+        break;
       }
       total += static_cast<std::size_t>(n);
-      if (static_cast<std::size_t>(n) < sizeof(buf)) return;  // drained
-      if (total >= kReadBudget) return;  // yield; epoll re-reports
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;  // drained
+      if (total >= kReadBudget) break;  // yield; epoll re-reports
+    }
+    TryFlush(loop, conn);
+  }
+
+  /// Answers one request frame into a new slot at the back of the
+  /// connection's queue, or parks it there (an unsatisfied SUBSCRIBE).
+  void Dispatch(Loop& loop, const std::shared_ptr<Conn>& conn, Frame frame) {
+    PendingReply& slot = conn->pending.emplace_back();
+    ReplyFrame reply =
+        DispatchRequest(router, frame.header.opcode, frame.body);
+    if (reply.parked.has_value()) {
+      loop.next_deadline = std::min(loop.next_deadline, reply.parked->deadline);
+      loop.parked.push_back(Parked{conn, &slot, std::move(*reply.parked)});
+      return;
+    }
+    FillSlot(loop, *conn, slot, std::move(reply));
+  }
+
+  /// Answers every parked SUBSCRIBE whose epoch or deadline has come
+  /// and recomputes next_deadline over the rest.
+  void SweepParked(Loop& loop) {
+    const Clock::time_point now = Clock::now();
+    std::vector<std::shared_ptr<Conn>> answered;
+    loop.next_deadline = Clock::time_point::max();
+    std::size_t kept = 0;
+    for (Parked& p : loop.parked) {
+      std::optional<ReplyFrame> reply =
+          AnswerSubscribe(router, p.subscribe, now);
+      if (reply.has_value()) {
+        FillSlot(loop, *p.conn, *p.slot, std::move(*reply));
+        answered.push_back(std::move(p.conn));
+        continue;
+      }
+      loop.next_deadline = std::min(loop.next_deadline, p.subscribe.deadline);
+      if (&loop.parked[kept] != &p) loop.parked[kept] = std::move(p);
+      ++kept;
+    }
+    loop.parked.resize(kept);
+    for (const auto& conn : answered) TryFlush(loop, conn);
+  }
+
+  /// Completes `slot` with `reply`'s frame and counts its bytes against
+  /// the connection's outbound bounds.
+  void FillSlot(Loop& loop, Conn& conn, PendingReply& slot, ReplyFrame reply) {
+    slot.body = std::move(reply.body);
+    if (!EncodeFrameHeader(reply.opcode, reply.status,
+                           static_cast<std::uint32_t>(slot.body.size()),
+                           slot.header)) {
+      // A reply body over kMaxBodyBytes cannot be framed (possible only
+      // for a pathological stats snapshot); degrade to an error reply
+      // rather than emit an unparseable frame.
+      slot.body.clear();
+      EncodeErrorBody("reply exceeds frame limit", &slot.body);
+      EncodeFrameHeader(Opcode::kError,
+                        static_cast<std::uint8_t>(Status::kInternal),
+                        static_cast<std::uint32_t>(slot.body.size()),
+                        slot.header);
+    }
+    slot.done = true;
+    const std::size_t size = kFrameHeaderBytes + slot.body.size();
+    conn.outbound_bytes += size;
+    loop.g_outbound->Add(static_cast<std::int64_t>(size));
+    if (options.max_outbound_bytes != 0 &&
+        conn.outbound_bytes > options.max_outbound_bytes) {
+      conn.overflow = true;
     }
   }
 
@@ -458,12 +514,9 @@ struct ReactorServer::Impl {
       return;
     }
     // Clean half-close: no more requests, but every already-read frame
-    // still gets its reply before the connection closes.
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->read_done = true;
-    }
-    UpdateInterest(loop, conn.get());
+    // (parked SUBSCRIBEs too) still gets its reply before the connection
+    // closes.
+    conn->read_done = true;
     TryFlush(loop, conn);
   }
 
@@ -471,158 +524,122 @@ struct ReactorServer::Impl {
   /// requests are already pending.
   void FailConnRead(Loop& loop, const std::shared_ptr<Conn>& conn,
                     std::string_view message) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->read_done = true;
-      conn->pending.emplace_back();
-      PendingReply& slot = conn->pending.back();
-      EncodeErrorBody(message, &slot.body);
-      EncodeFrameHeader(Opcode::kError,
-                        static_cast<std::uint8_t>(Status::kBadRequest),
-                        static_cast<std::uint32_t>(slot.body.size()),
-                        slot.header);
-      slot.done = true;
-      conn->outbound_bytes += kFrameHeaderBytes + slot.body.size();
-      loop.g_outbound->Add(
-          static_cast<std::int64_t>(kFrameHeaderBytes + slot.body.size()));
-    }
-    UpdateInterest(loop, conn.get());
+    conn->read_done = true;
+    ReplyFrame error;
+    error.status = static_cast<std::uint8_t>(Status::kBadRequest);
+    EncodeErrorBody(message, &error.body);
+    FillSlot(loop, *conn, conn->pending.emplace_back(), std::move(error));
     TryFlush(loop, conn);
   }
 
-  /// Re-arms the connection's epoll interest from its current flags.
-  /// Loop thread only.
-  void UpdateInterest(Loop& loop, Conn* conn) {
-    epoll_event ev{};
-    ev.data.ptr = conn;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->dead) return;
-      if (!conn->read_done && !conn->paused) ev.events |= EPOLLIN;
-      if (conn->want_write) ev.events |= EPOLLOUT;
-    }
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-  }
-
-  /// Writes the completed prefix of the reply deque with writev,
-  /// advancing the partial-write cursor; closes the connection when the
-  /// hard outbound cap tripped, the peer died, or a drained half-closed
-  /// connection has nothing left to say. Loop thread only.
+  /// Writes the completed prefix of the reply deque with sendmsg,
+  /// advancing the partial-write cursor, and re-arms the connection's
+  /// epoll interest; closes the connection when the hard outbound cap
+  /// tripped, the peer died, or a drained half-closed connection has
+  /// nothing left to say.
   void TryFlush(Loop& loop, const std::shared_ptr<Conn>& conn) {
-    bool do_close = false;
-    bool hangup = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->dead) return;
-      if (conn->overflow) {
-        hangup = true;
-      } else {
-        bool blocked = false;
-        bool peer_dead = false;
-        while (!blocked && !peer_dead) {
-          iovec iov[kMaxIov];
-          int cnt = 0;
-          std::size_t off = conn->write_off;
-          for (const PendingReply& slot : conn->pending) {
-            if (!slot.done || cnt + 2 > kMaxIov) break;
-            if (off < kFrameHeaderBytes) {
-              iov[cnt].iov_base =
-                  const_cast<char*>(slot.header) + off;
-              iov[cnt].iov_len = kFrameHeaderBytes - off;
-              ++cnt;
-              off = kFrameHeaderBytes;
-            }
-            const std::size_t body_off = off - kFrameHeaderBytes;
-            if (body_off < slot.body.size()) {
-              iov[cnt].iov_base =
-                  const_cast<char*>(slot.body.data()) + body_off;
-              iov[cnt].iov_len = slot.body.size() - body_off;
-              ++cnt;
-            }
-            off = 0;
-          }
-          if (cnt == 0) break;
-          std::size_t built = 0;
-          for (int i = 0; i < cnt; ++i) built += iov[i].iov_len;
-          // sendmsg with MSG_NOSIGNAL: a client that disconnected with
-          // replies pending must surface as EPIPE here, not SIGPIPE the
-          // whole process.
-          msghdr msg{};
-          msg.msg_iov = iov;
-          msg.msg_iovlen = static_cast<std::size_t>(cnt);
-          const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-              blocked = true;
-              break;
-            }
-            peer_dead = true;
-            break;
-          }
-          std::size_t advanced = static_cast<std::size_t>(n);
-          conn->outbound_bytes -= advanced;
-          loop.g_outbound->Add(-static_cast<std::int64_t>(advanced));
-          while (advanced > 0) {
-            PendingReply& front = conn->pending.front();
-            const std::size_t remaining =
-                kFrameHeaderBytes + front.body.size() - conn->write_off;
-            if (advanced >= remaining) {
-              advanced -= remaining;
-              conn->write_off = 0;
-              conn->pending.pop_front();
-            } else {
-              conn->write_off += advanced;
-              advanced = 0;
-            }
-          }
-          if (static_cast<std::size_t>(n) < built) {
-            blocked = true;
-            break;
-          }
-        }
-        if (peer_dead) {
-          do_close = true;
-        } else {
-          conn->want_write = blocked;
-          if (conn->paused && !conn->read_done &&
-              conn->pending.size() < options.max_outstanding &&
-              conn->outbound_bytes < options.pause_outbound_bytes) {
-            conn->paused = false;
-          }
-          if (conn->read_done && conn->inflight == 0 &&
-              conn->pending.empty()) {
-            do_close = true;
-          }
-        }
-      }
-    }
-    if (hangup) {
+    if (conn->dead) return;
+    if (conn->overflow) {
       c_hangups->Add();
       CloseConn(loop, conn);
       return;
     }
-    if (do_close) {
+    bool blocked = false;
+    for (;;) {
+      iovec iov[kMaxIov];
+      int cnt = 0;
+      std::size_t off = conn->write_off;
+      for (const PendingReply& slot : conn->pending) {
+        if (!slot.done || cnt + 2 > kMaxIov) break;
+        if (off < kFrameHeaderBytes) {
+          iov[cnt].iov_base = const_cast<char*>(slot.header) + off;
+          iov[cnt].iov_len = kFrameHeaderBytes - off;
+          ++cnt;
+          off = kFrameHeaderBytes;
+        }
+        const std::size_t body_off = off - kFrameHeaderBytes;
+        if (body_off < slot.body.size()) {
+          iov[cnt].iov_base = const_cast<char*>(slot.body.data()) + body_off;
+          iov[cnt].iov_len = slot.body.size() - body_off;
+          ++cnt;
+        }
+        off = 0;
+      }
+      if (cnt == 0) break;
+      std::size_t built = 0;
+      for (int i = 0; i < cnt; ++i) built += iov[i].iov_len;
+      // sendmsg with MSG_NOSIGNAL: a client that disconnected with
+      // replies pending must surface as EPIPE here, not SIGPIPE the
+      // whole process.
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = static_cast<std::size_t>(cnt);
+      const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          blocked = true;
+          break;
+        }
+        CloseConn(loop, conn);  // the peer is gone
+        return;
+      }
+      std::size_t advanced = static_cast<std::size_t>(n);
+      conn->outbound_bytes -= advanced;
+      loop.g_outbound->Add(-static_cast<std::int64_t>(advanced));
+      while (advanced > 0) {
+        PendingReply& front = conn->pending.front();
+        const std::size_t remaining =
+            kFrameHeaderBytes + front.body.size() - conn->write_off;
+        if (advanced >= remaining) {
+          advanced -= remaining;
+          conn->write_off = 0;
+          conn->pending.pop_front();
+        } else {
+          conn->write_off += advanced;
+          advanced = 0;
+        }
+      }
+      if (static_cast<std::size_t>(n) < built) {
+        blocked = true;
+        break;
+      }
+    }
+    if (conn->paused && conn->pending.size() < options.max_outstanding &&
+        conn->outbound_bytes < options.pause_outbound_bytes) {
+      conn->paused = false;
+    }
+    if (conn->read_done && conn->pending.empty()) {
       CloseConn(loop, conn);
       return;
     }
-    UpdateInterest(loop, conn.get());
+    // One epoll_ctl only when the interest changes, not per request.
+    std::uint32_t interest = 0;
+    if (!conn->read_done && !conn->paused) interest |= EPOLLIN;
+    if (blocked) interest |= EPOLLOUT;
+    if (interest != conn->interest) {
+      conn->interest = interest;
+      epoll_event ev{};
+      ev.events = interest;
+      ev.data.ptr = conn.get();
+      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+    }
   }
 
-  /// Detaches the connection from its loop and closes the fd. Loop
-  /// thread only; safe to call once per connection (later stale events
-  /// in the same batch are screened by closed_in_batch).
+  /// Detaches the connection from its loop, drops its parked
+  /// SUBSCRIBEs and closes the fd. Safe to call once per connection
+  /// (later stale events in the same batch are screened by
+  /// closed_in_batch).
   void CloseConn(Loop& loop, const std::shared_ptr<Conn>& conn) {
-    std::size_t leftover = 0;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->dead) return;
-      conn->dead = true;
-      leftover = conn->outbound_bytes;
-      conn->outbound_bytes = 0;
+    if (conn->dead) return;
+    conn->dead = true;
+    if (!loop.parked.empty()) {
+      std::erase_if(loop.parked,
+                    [&conn](const Parked& p) { return p.conn == conn; });
     }
-    if (leftover != 0) {
-      loop.g_outbound->Add(-static_cast<std::int64_t>(leftover));
+    if (conn->outbound_bytes != 0) {
+      loop.g_outbound->Add(-static_cast<std::int64_t>(conn->outbound_bytes));
+      conn->outbound_bytes = 0;
     }
     ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::close(conn->fd);
@@ -631,78 +648,7 @@ struct ReactorServer::Impl {
     loop.graveyard.push_back(conn);
     loop.g_conns->Add(-1);
     open_conns.fetch_sub(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard<std::mutex> lock(drain_mu);
-    }
-    drain_cv.notify_all();
-  }
-
-  // --------------------------------------------------------- dispatch
-
-  void Submit(std::shared_ptr<Conn> conn, PendingReply* slot, Frame frame) {
-    {
-      std::lock_guard<std::mutex> lock(work_mu);
-      if (work_stop) return;
-      work.push_back([this, conn = std::move(conn), slot,
-                      frame = std::move(frame)]() mutable {
-        RunRequest(std::move(conn), slot, std::move(frame));
-      });
-    }
-    work_cv.notify_one();
-  }
-
-  void WorkerMain() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(work_mu);
-        work_cv.wait(lock, [this] { return work_stop || !work.empty(); });
-        if (work_stop) return;
-        task = std::move(work.front());
-        work.pop_front();
-      }
-      task();
-    }
-  }
-
-  void RunRequest(std::shared_ptr<Conn> conn, PendingReply* slot,
-                  Frame frame) {
-    ReplyFrame reply =
-        DispatchRequest(router, frame.header.opcode, frame.body);
-    Loop& loop = *loops[conn->loop];
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      slot->body = std::move(reply.body);
-      if (!EncodeFrameHeader(reply.opcode, reply.status,
-                             static_cast<std::uint32_t>(slot->body.size()),
-                             slot->header)) {
-        // A reply body over kMaxBodyBytes cannot be framed (possible
-        // only for a pathological stats snapshot); degrade to an error
-        // reply rather than emit an unparseable frame.
-        slot->body.clear();
-        EncodeErrorBody("reply exceeds frame limit", &slot->body);
-        EncodeFrameHeader(Opcode::kError,
-                          static_cast<std::uint8_t>(Status::kInternal),
-                          static_cast<std::uint32_t>(slot->body.size()),
-                          slot->header);
-      }
-      slot->done = true;
-      --conn->inflight;
-      if (!conn->dead) {
-        const std::size_t sz = kFrameHeaderBytes + slot->body.size();
-        conn->outbound_bytes += sz;
-        loop.g_outbound->Add(static_cast<std::int64_t>(sz));
-        if (options.max_outbound_bytes != 0 &&
-            conn->outbound_bytes > options.max_outbound_bytes) {
-          conn->overflow = true;
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(loop.inbox_mu);
-      loop.completions.push_back(std::move(conn));
-    }
-    Wake(loop);
+    NotifyDrain();
   }
 };
 

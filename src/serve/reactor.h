@@ -11,27 +11,31 @@
 //   - Loop threads (default: hardware concurrency, `--loop-threads` in
 //     the binary). Each owns an epoll instance, an eventfd for
 //     cross-thread wakeups, and the connections assigned to it
-//     round-robin at accept. Only the owning loop thread touches a
-//     connection's fd or epoll registration; everything cross-thread
-//     moves through the loop's inbox + eventfd. Loop 0 additionally
-//     owns the non-blocking listener.
-//   - Dispatch workers (a small private pool). Frames decoded by a loop
-//     are handed here to run DispatchRequest -- acquire, routing,
-//     kernels -- so an event loop never blocks on heavy work. Kernel
-//     fan-out inside a request still runs on util::ThreadPool (the
-//     router's ParallelFor has the caller participate, so workers make
-//     progress rather than wait). A kSubscribe long-poll parks its
-//     worker for up to the request timeout; size the pool above the
-//     expected concurrent subscriber count if that matters.
+//     round-robin at accept. A connection is loop-thread-only state;
+//     only the accepted sockets cross threads, through the loop's
+//     inbox + eventfd. Loop 0 additionally owns the non-blocking
+//     listener.
+//   - Run to completion: a loop runs DispatchRequest -- acquire,
+//     routing, kernels -- on each frame it decodes and sends the read
+//     burst's replies with one sendmsg, so a request costs one wakeup.
+//     Kernel fan-out inside a request still runs on util::ThreadPool
+//     with the loop participating; frames pipelined on one connection
+//     run one after another, and a big batch delays the other
+//     connections of its loop.
+//   - SUBSCRIBE parks as an event, never as a blocked thread: its reply
+//     slot stays queued until AnswerSubscribe (serve/server.h) can fill
+//     it. Publishes wake the loops through the pods' publish hook,
+//     installed at Listen and removed at shutdown (so a router is served
+//     by one reactor at a time), and the earliest parked deadline
+//     bounds epoll_wait.
 //
 // Pipelining (the protocol.h contract): each connection keeps an ordered
-// deque of reply slots, one per request frame in arrival order. Requests
-// may complete on workers in any order -- queries are read-only, answers
-// are order-independent -- but the loop only ever writes the completed
-// prefix of the deque, so replies hit the wire strictly in request
-// order. Completed replies go out with writev, headers and bodies as
-// separate spans straight from the slots: batched answers are never
-// copied into a staging buffer.
+// deque of reply slots, one per request frame in arrival order. The loop
+// only ever writes the completed prefix of the deque, so replies hit the
+// wire strictly in request order, also behind a parked SUBSCRIBE.
+// Completed replies go out with sendmsg, headers and bodies as separate
+// spans straight from the slots: batched answers are never copied into a
+// staging buffer.
 //
 // Backpressure, two bounds per connection (ReactorOptions):
 //   - max_outstanding / pause_outbound_bytes: the loop stops reading
@@ -66,7 +70,8 @@ namespace ifsketch::serve {
 struct ReactorOptions {
   /// Event-loop threads; 0 = hardware concurrency.
   std::size_t loop_threads = 0;
-  /// Dispatch workers; 0 = max(4, loop threads).
+  /// Added to loop_threads: there is no dispatch pool any more, and
+  /// callers that sized one keep their thread budget as event loops.
   std::size_t dispatch_threads = 0;
   /// Concurrent-connection cap, enforced by reject-at-accept; 0 = no cap.
   std::size_t max_connections = 0;
@@ -92,9 +97,9 @@ class ReactorServer {
   ReactorServer(const ReactorServer&) = delete;
   ReactorServer& operator=(const ReactorServer&) = delete;
 
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()) and
-  /// starts the loop and dispatch threads. False on bind failure; call
-  /// at most once.
+  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()),
+  /// installs the router's publish hooks and starts the loop threads.
+  /// False on bind failure; call at most once.
   bool Listen(std::uint16_t port);
 
   /// The bound port (after a successful Listen).

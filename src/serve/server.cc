@@ -198,25 +198,22 @@ ReplyFrame HandleRefresh(Router& router, std::string_view body) {
 }
 
 ReplyFrame HandleSubscribe(Router& router, std::string_view body) {
-  const auto request = TimedDecode(DecodeSubscribeRequest, body);
+  auto request = TimedDecode(DecodeSubscribeRequest, body);
   if (!request.has_value()) {
     return ErrorReply(Status::kBadRequest, "undecodable subscribe request");
   }
-  SnapshotState state;
-  // The wait blocks only the reactor dispatch worker carrying this
-  // request; publishes arrive from the ingest thread and wake it through
-  // the pod's condition variable.
-  if (!router.WaitForEpoch(request->sketch, request->min_epoch,
-                           std::chrono::milliseconds(request->timeout_ms),
-                           &state)) {
-    return ErrorReply(Status::kUnknownSketch,
-                      "unknown sketch \"" + request->sketch + "\"");
+  // Nothing here waits: an unsatisfied SUBSCRIBE goes back to the
+  // reactor parked, and the loop answers it when a publish wakes it or
+  // its deadline bounds epoll_wait.
+  const auto now = std::chrono::steady_clock::now();
+  ParkedSubscribe parked{std::move(request->sketch), request->min_epoch,
+                         now + std::chrono::milliseconds(request->timeout_ms)};
+  if (auto reply = AnswerSubscribe(router, parked, now)) {
+    return *std::move(reply);
   }
-  // On timeout the reply still carries the final state; the client tells
-  // the cases apart by comparing epoch with its min_epoch.
-  return TimedReply(Opcode::kSubscribeReply, [&state](std::string* reply) {
-    EncodeSnapshotReply(SnapshotInfo{state.epoch, state.rows_seen}, reply);
-  });
+  ReplyFrame reply;
+  reply.parked = std::move(parked);
+  return reply;
 }
 
 ReplyFrame HandleHealth(Router& router, std::string_view body) {
@@ -299,8 +296,8 @@ std::size_t OpIndex(Opcode opcode) {
 }
 
 /// serve_requests_total{op=} counters, cached thread-local per registry
-/// generation (the RequestTrace pattern): dispatch threads resolve the
-/// names once and then only touch lock-free counters, so the per-frame
+/// generation (the RequestTrace pattern): each event loop resolves the
+/// names once and then only touches lock-free counters, so the per-frame
 /// path never takes the registry mutex.
 obs::Counter* RequestCounter(obs::MetricsRegistry& registry,
                              std::size_t op) {
@@ -356,6 +353,22 @@ ReplyFrame DispatchRequest(Router& router, Opcode opcode,
     default:
       return ErrorReply(Status::kBadRequest, "frame opcode is not a request");
   }
+}
+
+std::optional<ReplyFrame> AnswerSubscribe(
+    Router& router, const ParkedSubscribe& parked,
+    std::chrono::steady_clock::time_point now) {
+  const auto state = router.SnapshotOf(parked.sketch);
+  if (!state.has_value()) {
+    return ErrorReply(Status::kUnknownSketch,
+                      "unknown sketch \"" + parked.sketch + "\"");
+  }
+  if (state->epoch <= parked.min_epoch && now < parked.deadline) {
+    return std::nullopt;
+  }
+  return TimedReply(Opcode::kSubscribeReply, [&state](std::string* reply) {
+    EncodeSnapshotReply(SnapshotInfo{state->epoch, state->rows_seen}, reply);
+  });
 }
 
 FdTransport::~FdTransport() {

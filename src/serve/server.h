@@ -2,10 +2,10 @@
 //
 // DispatchRequest is the whole server behavior for one request frame and
 // is transport-independent: the epoll reactor (serve/reactor.h), the one
-// server loop, decodes frames off its sockets and hands each to
-// DispatchRequest on a worker, which decodes the body, routes it through
-// a shared Router (one engine call per request) and encodes exactly one
-// reply frame. A query body is decoded once into a
+// server loop, decodes frames off its sockets and runs DispatchRequest
+// on the loop thread, which decodes the body, routes it through a
+// shared Router (one engine call per request) and encodes exactly one
+// reply frame; it never blocks. A query body is decoded once into a
 // flat core::QueryBatch, checked once against the acquired sketch, and
 // that same batch is what the router and the kernels read; the answers
 // go into the reply body with one copy. Framing errors never get this far:
@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -29,23 +30,41 @@
 
 namespace ifsketch::serve {
 
+/// A SUBSCRIBE whose known `sketch` has not passed `min_epoch` yet.
+struct ParkedSubscribe {
+  std::string sketch;
+  std::uint64_t min_epoch = 0;
+  std::chrono::steady_clock::time_point deadline;
+};
+
 /// One encoded reply, ready to frame: the unit DispatchRequest returns
 /// and the reactor's in-order reply queue carries.
 struct ReplyFrame {
   Opcode opcode = Opcode::kError;
   std::uint8_t status = 0;  ///< Status byte on kError replies, else 0
   std::string body;
+  /// Set, and nothing else, for a SUBSCRIBE not answerable yet.
+  std::optional<ParkedSubscribe> parked;
 };
 
 /// Answers one request frame: decode, route through `router`, encode.
 /// Every request opcode (and every failure) yields exactly one reply
-/// frame; a non-request opcode in a valid frame yields a kError reply
-/// without killing anything (the frame was consumed, framing holds).
-/// Counts serve_requests_total{op=} and runs under a RequestTrace.
-/// Thread-safe against one Router; per-op counters are cached
-/// thread-local so the hot path never takes the registry mutex.
+/// frame, or comes back parked (a SUBSCRIBE whose epoch has not come);
+/// a non-request opcode in a valid frame yields a kError reply without
+/// killing anything (the frame was consumed, framing holds). Counts
+/// serve_requests_total{op=} and runs under a RequestTrace, whose span
+/// ends at the park for a parked SUBSCRIBE. Thread-safe against one
+/// Router; per-op counters are cached thread-local so the hot path never
+/// takes the registry mutex.
 ReplyFrame DispatchRequest(Router& router, Opcode opcode,
                            std::string_view body);
+
+/// The reply to `parked` -- the sketch's current epoch and rows_seen --
+/// once the epoch has passed min_epoch or `now` the deadline; nullopt
+/// while neither holds.
+std::optional<ReplyFrame> AnswerSubscribe(
+    Router& router, const ParkedSubscribe& parked,
+    std::chrono::steady_clock::time_point now);
 
 /// Transport over an open file descriptor (socket); owns and closes it.
 class FdTransport : public Transport {

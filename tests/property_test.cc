@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "core/validate.h"
 #include "data/generators.h"
@@ -125,9 +126,6 @@ class Thm13SweepTest
 
 TEST_P(Thm13SweepTest, LosslessSketchDecodesPayload) {
   const auto [d, k, rows] = GetParam();
-  if (rows > util::Binomial(d / 2, k - 1)) {
-    GTEST_SKIP() << "outside the 1/eps <= C(d/2, k-1) regime";
-  }
   util::Rng rng(9000 + d * 31 + k * 7 + rows);
   const lowerbound::Thm13Instance inst(d, k, rows);
   const util::BitVector payload = rng.RandomBits(inst.PayloadBits());
@@ -142,11 +140,25 @@ TEST_P(Thm13SweepTest, LosslessSketchDecodesPayload) {
   EXPECT_EQ(inst.ReconstructPayload(*ind), payload);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RegimeSweep, Thm13SweepTest,
-    ::testing::Combine(::testing::Values(8, 12, 16, 24),
-                       ::testing::Values(2, 3, 4),
-                       ::testing::Values(2, 6, 15)));
+/// The shapes of d in {8, 12, 16, 24}, k in {2, 3, 4} and R in
+/// {2, 6, 15} inside the theorem's 1/eps <= C(d/2, k-1) regime.
+std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>
+Thm13RegimeShapes() {
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes;
+  for (std::size_t d : {8, 12, 16, 24}) {
+    for (std::size_t k : {2, 3, 4}) {
+      for (std::size_t rows : {2, 6, 15}) {
+        if (rows <= util::Binomial(d / 2, k - 1)) {
+          shapes.emplace_back(d, k, rows);
+        }
+      }
+    }
+  }
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(RegimeSweep, Thm13SweepTest,
+                         ::testing::ValuesIn(Thm13RegimeShapes()));
 
 // ---------------------------------------------------------------------
 // Property: Theorem 15 constant-eps reconstruction is exact through an

@@ -26,14 +26,22 @@
 //   - max_connections rejects at accept (counted, connection slots
 //     freed on close), instead of any exit-after-C behavior.
 //   - An idle-churn wave of ~1k concurrent connections (clamped to
-//     RLIMIT_NOFILE) is accepted, served, and drained. The whole file
-//     runs under the CI TSan job.
+//     RLIMIT_NOFILE) is accepted, served, and drained.
+//   - A parked SUBSCRIBE holds no thread: on one event loop, parked
+//     subscribers leave REFRESH and queries on other connections
+//     answering at once; one publish answers them all; a deadline
+//     answers with the final state; a request pipelined behind a parked
+//     SUBSCRIBE is answered after it; a client that hangs up, and a
+//     reactor destroyed, with a SUBSCRIBE parked are cleaned up at once.
+// The whole file runs under the CI TSan and ASan jobs.
 
 #include "serve/reactor.h"
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -268,7 +276,6 @@ TEST(ServeReactorTest, PipelinedRepliesAreOrderedAndMatchSerialDispatch) {
 
   ReactorOptions options;
   options.loop_threads = 2;
-  options.dispatch_threads = 4;
   ReactorServer reactor(*rig.router, options);
   ASSERT_TRUE(reactor.Listen(0));
 
@@ -284,9 +291,9 @@ TEST(ServeReactorTest, PipelinedRepliesAreOrderedAndMatchSerialDispatch) {
 TEST(ServeReactorTest, HeavyFirstRequestNeverReordersReplies) {
   Rig rig = MakeRig("reactor_heavy", 12);
   std::vector<Step> steps;
-  // A 20k-query batch followed by 16 trivial info requests: the cheap
-  // ones finish on the dispatch pool long before the heavy one, and
-  // must still wait their turn on the wire.
+  // A 20k-query batch followed by 16 trivial info requests, all in one
+  // write: the heavy reply is the longest and comes first on the wire,
+  // the cheap ones behind it in order.
   steps.push_back(EstimateStep("s", SomeQueries(*rig.direct, 20000, 90)));
   std::string info_body;
   ASSERT_TRUE(EncodeInfoRequest("s", &info_body));
@@ -296,9 +303,7 @@ TEST(ServeReactorTest, HeavyFirstRequestNeverReordersReplies) {
   }
   const std::vector<Frame> reference = SerialReplies(*rig.router, steps);
 
-  ReactorOptions options;
-  options.dispatch_threads = 4;
-  ReactorServer reactor(*rig.router, options);
+  ReactorServer reactor(*rig.router);
   ASSERT_TRUE(reactor.Listen(0));
   auto transport = TcpConnect(reactor.port());
   ASSERT_NE(transport, nullptr);
@@ -598,6 +603,215 @@ TEST(ServeReactorTest, StopAcceptingDrainsAndWaitDrainedReturns) {
   reactor.WaitDrained();  // returns only once the connection is gone
   closer.join();
   EXPECT_EQ(reactor.open_connections(), 0u);
+}
+
+// ------------------------------------------------- parked SUBSCRIBEs
+
+ReactorOptions OneLoop() {
+  ReactorOptions options;
+  options.loop_threads = 1;
+  return options;
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// A connection that has written one SUBSCRIBE past epoch 0 and reads
+/// with a 5 s timeout, so a reply that never comes fails the test
+/// instead of hanging it.
+std::unique_ptr<Transport> Subscriber(std::unique_ptr<Transport> transport,
+                                      const std::string& sketch,
+                                      std::uint32_t timeout_ms) {
+  EXPECT_NE(transport, nullptr);
+  if (transport == nullptr) return nullptr;
+  std::string body;
+  EXPECT_TRUE(EncodeSubscribeRequest({sketch, 0, timeout_ms}, &body));
+  EXPECT_TRUE(WriteFrame(*transport, Opcode::kSubscribe, 0, body));
+  EXPECT_TRUE(transport->SetReadTimeout(std::chrono::seconds(5)));
+  return transport;
+}
+
+/// The next reply on `transport`, which must be a SUBSCRIBE reply.
+std::optional<SnapshotInfo> ReadSubscribeReply(Transport& transport) {
+  Frame reply;
+  if (ReadFrame(transport, &reply) != ReadResult::kFrame ||
+      reply.header.opcode != Opcode::kSubscribeReply) {
+    return std::nullopt;
+  }
+  return DecodeSnapshotReply(reply.body);
+}
+
+/// Waits until the server has dispatched `count` SUBSCRIBEs (each is
+/// counted before it parks).
+bool SubscribesDispatched(const Rig& rig, std::uint64_t count) {
+  obs::Counter* subscribes = rig.registry->GetCounter(
+      obs::LabeledName("serve_requests_total", "op", "subscribe"));
+  return PollUntil([&] { return subscribes->Value() >= count; });
+}
+
+/// A loopback connection whose close resets it (SO_LINGER 0): the
+/// server sees ECONNRESET, not the FIN of a half-close.
+std::unique_ptr<Transport> ResettingConnect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return nullptr;
+  auto transport = std::make_unique<FdTransport>(fd);
+  const linger reset{1, 0};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)) != 0 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    return nullptr;
+  }
+  return transport;
+}
+
+TEST(ServeReactorTest, ParkedSubscribesNeverBlockTheLoop) {
+  Rig rig = MakeRig("reactor_parked", 22);
+  ASSERT_TRUE(rig.router->AddStream("quiet"));
+  ReactorServer reactor(*rig.router, OneLoop());
+  ASSERT_TRUE(reactor.Listen(0));
+
+  // More parked SUBSCRIBEs than the reactor ever had dispatch workers,
+  // all on the one loop.
+  std::vector<std::unique_ptr<Transport>> subscribers;
+  for (int i = 0; i < 6; ++i) {
+    subscribers.push_back(
+        Subscriber(TcpConnect(reactor.port()), "quiet", 60000));
+    ASSERT_NE(subscribers.back(), nullptr);
+  }
+  ASSERT_TRUE(SubscribesDispatched(rig, 6));
+
+  SketchClient client(TcpConnect(reactor.port()));
+  auto start = std::chrono::steady_clock::now();
+  const auto refreshed = client.Refresh("quiet");
+  EXPECT_LT(MsSince(start), 50.0);
+  ASSERT_TRUE(refreshed.has_value()) << client.last_error();
+  EXPECT_EQ(refreshed->epoch, 0u);
+  start = std::chrono::steady_clock::now();
+  const auto answers =
+      client.EstimateMany("s", SomeQueries(*rig.direct, 1, 95));
+  EXPECT_LT(MsSince(start), 50.0);
+  ASSERT_TRUE(answers.has_value()) << client.last_error();
+
+  // One publish answers all six.
+  rig.router->Publish("quiet", rig.direct, 600);
+  for (auto& subscriber : subscribers) {
+    const auto info = ReadSubscribeReply(*subscriber);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->epoch, 1u);
+    EXPECT_EQ(info->rows_seen, 600u);
+  }
+}
+
+TEST(ServeReactorTest, ParkedSubscribeTimesOutWithTheFinalState) {
+  Rig rig = MakeRig("reactor_parked_timeout", 23);
+  ASSERT_TRUE(rig.router->AddStream("quiet"));
+  ReactorServer reactor(*rig.router, OneLoop());
+  ASSERT_TRUE(reactor.Listen(0));
+
+  // A 60 s SUBSCRIBE parked first on the same loop: the 50 ms one's
+  // deadline must still wake the loop on time.
+  auto patient = Subscriber(TcpConnect(reactor.port()), "quiet", 60000);
+  ASSERT_NE(patient, nullptr);
+  ASSERT_TRUE(SubscribesDispatched(rig, 1));
+
+  SketchClient client(TcpConnect(reactor.port()));
+  const auto start = std::chrono::steady_clock::now();
+  const auto info = client.Subscribe("quiet", 0, 50);
+  const double elapsed = MsSince(start);
+  ASSERT_TRUE(info.has_value()) << client.last_error();
+  EXPECT_EQ(info->epoch, 0u);  // timed out: the state it found
+  EXPECT_EQ(info->rows_seen, 0u);
+  EXPECT_GE(elapsed, 50.0);
+  EXPECT_LT(elapsed, 1000.0);
+
+  rig.router->Publish("quiet", rig.direct, 600);
+  const auto woken = ReadSubscribeReply(*patient);
+  ASSERT_TRUE(woken.has_value());
+  EXPECT_EQ(woken->epoch, 1u);
+}
+
+TEST(ServeReactorTest, RequestPipelinedBehindAParkedSubscribeWaitsItsTurn) {
+  Rig rig = MakeRig("reactor_parked_pipe", 24);
+  ASSERT_TRUE(rig.router->AddStream("quiet"));
+  const std::vector<Step> query = {
+      EstimateStep("s", SomeQueries(*rig.direct, 9, 96))};
+  const std::vector<Frame> reference = SerialReplies(*rig.router, query);
+  ReactorServer reactor(*rig.router, OneLoop());
+  ASSERT_TRUE(reactor.Listen(0));
+
+  auto transport = Subscriber(TcpConnect(reactor.port()), "quiet", 60000);
+  ASSERT_NE(transport, nullptr);
+  ASSERT_TRUE(transport->WriteAll(query[0].frame.data(),
+                                  query[0].frame.size()));
+  // The query has run (it is counted before its engine call); its reply
+  // waits behind the parked SUBSCRIBE's slot.
+  obs::Counter* estimates = rig.registry->GetCounter(
+      obs::LabeledName("serve_requests_total", "op", "estimate"));
+  ASSERT_TRUE(PollUntil([&] { return estimates->Value() >= 1; }));
+
+  rig.router->Publish("quiet", rig.direct, 600);
+  const auto info = ReadSubscribeReply(*transport);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->epoch, 1u);
+  ExpectReplies(*transport, query, reference);
+}
+
+TEST(ServeReactorTest, ClientHangingUpWithAParkedSubscribeIsCleanedUp) {
+  Rig rig = MakeRig("reactor_parked_hangup", 25);
+  ASSERT_TRUE(rig.router->AddStream("quiet"));
+  ReactorServer reactor(*rig.router, OneLoop());
+  ASSERT_TRUE(reactor.Listen(0));
+
+  // A reset drops the parked SUBSCRIBE with its connection at once.
+  {
+    auto transport = Subscriber(ResettingConnect(reactor.port()), "quiet",
+                                kMaxSubscribeTimeoutMs);
+    ASSERT_NE(transport, nullptr);
+    ASSERT_TRUE(SubscribesDispatched(rig, 1));
+  }
+  EXPECT_TRUE(PollUntil([&] { return reactor.open_connections() == 0; }));
+
+  // A FIN is a half-close: the parked SUBSCRIBE is still owed its reply,
+  // which the deadline sends before the server closes its side.
+  {
+    auto transport = Subscriber(TcpConnect(reactor.port()), "quiet", 100);
+    ASSERT_NE(transport, nullptr);
+    ASSERT_TRUE(SubscribesDispatched(rig, 2));
+  }
+  EXPECT_TRUE(PollUntil([&] { return reactor.open_connections() == 0; }));
+
+  // Publishing afterwards touches neither connection; the loop serves on.
+  rig.router->Publish("quiet", rig.direct, 600);
+  SketchClient client(TcpConnect(reactor.port()));
+  const auto info = client.Refresh("quiet");
+  ASSERT_TRUE(info.has_value()) << client.last_error();
+  EXPECT_EQ(info->epoch, 1u);
+}
+
+TEST(ServeReactorTest, DestroyingTheReactorWithAParkedSubscribeIsPrompt) {
+  Rig rig = MakeRig("reactor_parked_shutdown", 26);
+  ASSERT_TRUE(rig.router->AddStream("quiet"));
+  auto reactor = std::make_unique<ReactorServer>(*rig.router, OneLoop());
+  ASSERT_TRUE(reactor->Listen(0));
+  auto transport = Subscriber(TcpConnect(reactor->port()), "quiet",
+                              kMaxSubscribeTimeoutMs);
+  ASSERT_NE(transport, nullptr);
+  ASSERT_TRUE(SubscribesDispatched(rig, 1));
+
+  const auto start = std::chrono::steady_clock::now();
+  reactor.reset();
+  EXPECT_LT(MsSince(start), 1000.0);
+  // The subscriber sees its connection close, not a reply.
+  Frame reply;
+  EXPECT_NE(ReadFrame(*transport, &reply), ReadResult::kFrame);
+  // The pods no longer call into the destroyed reactor.
+  rig.router->Publish("quiet", rig.direct, 600);
 }
 
 }  // namespace

@@ -446,7 +446,7 @@ TEST(ServeServerTest, SubscribeWakesOnPublishFromAnotherThread) {
   SketchClient client(server.Connect());
 
   std::thread publisher([&rig] {
-    // Give the subscribe a moment to park on the condition variable.
+    // Give the subscribe a moment to park on the reactor's loop.
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     rig.router->Publish("live", MakeSnapshot(400, 57), 400);
   });

@@ -146,10 +146,10 @@ TEST(ServeStatsTest, CountersMatchIssuedRequestsExactly) {
 }
 
 // Concurrent clients on one name: every query request runs its own engine
-// call on the dispatch worker that serves it, so each trace carries a
-// kernel stage and the kernel histogram counts requests exactly. Batches of 1000
-// queries make the engine call long enough that the server's two
-// dispatch workers routinely overlap on the name.
+// call on the event loop that reads it, so each trace carries a kernel
+// stage and the kernel histogram counts requests exactly. Batches of 1000
+// queries make the engine call long enough that the server's two event
+// loops routinely overlap on the name.
 TEST(ServeStatsTest, ConcurrentQueriesEachStampTheirOwnKernel) {
   StatsRig rig = MakeStatsRig("stats_concurrent", 95);
   TestServer server(*rig.router);

@@ -1,7 +1,8 @@
 // Shared rig for the serve tests: the production reactor on an
-// ephemeral 127.0.0.1 port, sized small (one event loop, two dispatch
-// workers) so sanitizer runs stay light, plus a socketpair(2) helper for
-// cases that need a silent or fault-injected peer.
+// ephemeral 127.0.0.1 port, sized small (two event loops, so concurrent
+// clients land on different loops) so sanitizer runs stay light, plus a
+// socketpair(2) helper for cases that need a silent or fault-injected
+// peer.
 #ifndef IFSKETCH_TESTS_SERVE_TEST_SERVER_H_
 #define IFSKETCH_TESTS_SERVE_TEST_SERVER_H_
 
@@ -31,8 +32,7 @@ class TestServer {
  private:
   static ReactorOptions SmallOptions() {
     ReactorOptions options;
-    options.loop_threads = 1;
-    options.dispatch_threads = 2;
+    options.loop_threads = 2;
     return options;
   }
 
