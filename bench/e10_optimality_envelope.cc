@@ -11,6 +11,12 @@
 // union-bound factor -- i.e. the upper and lower bounds track each other,
 // which is the paper's "sampling is optimal" conclusion. A verification
 // column confirms the payload really is decodable from the summary.
+//
+// The claim is checked, not just printed: the driver exits 1 unless every
+// payload decodes exactly and every ratio / log-factor lies in
+// [kBandLow, kBandHigh]. The ratio reads 4.00 on every shape; a sample
+// count off by a constant factor (a quarter of it reads 1.00) leaves the
+// band.
 
 #include <cmath>
 #include <cstdio>
@@ -26,7 +32,11 @@ namespace {
 
 using namespace ifsketch;
 
-void Headline() {
+constexpr double kBandLow = 3.5;
+constexpr double kBandHigh = 4.5;
+
+/// Prints the table; true when every shape meets the claim.
+bool Headline() {
   util::Rng rng(15);
   util::Table table(
       "sampling is space optimal: payload (forced bits) vs SUBSAMPLE size",
@@ -34,6 +44,7 @@ void Headline() {
        "ratio / log-factor", "payload decodable"});
   const std::size_t shapes[][3] = {{16, 2, 8},  {32, 2, 16}, {64, 2, 32},
                                    {32, 3, 32}, {64, 3, 64}, {48, 4, 48}};
+  bool holds = true;
   for (const auto& [d, k, inv_eps] : shapes) {
     const lowerbound::Thm13Instance inst(d, k, inv_eps);
     core::SketchParams p;
@@ -59,9 +70,13 @@ void Headline() {
     const auto summary = algo.Build(db, p, rng);
     const auto ind = algo.LoadIndicator(summary, p, d, db.num_rows());
     const util::BitVector rec = inst.ReconstructPayload(*ind);
+    const std::size_t wrong_bits = rec.HammingDistance(payload);
     const double recovered =
-        1.0 - static_cast<double>(rec.HammingDistance(payload)) /
+        1.0 - static_cast<double>(wrong_bits) /
                   static_cast<double>(inst.PayloadBits());
+    const double scaled_ratio = ratio / (log_factor / 2.0);
+    holds = holds && wrong_bits == 0 && scaled_ratio >= kBandLow &&
+            scaled_ratio <= kBandHigh;
 
     char decode[32];
     std::snprintf(decode, sizeof(decode), "%.1f%%", 100.0 * recovered);
@@ -70,18 +85,19 @@ void Headline() {
                   util::Table::Fmt(std::uint64_t{inv_eps}),
                   util::Table::Fmt(std::uint64_t{inst.PayloadBits()}),
                   util::Table::Fmt(std::uint64_t{sketch_bits}),
-                  util::Table::Fmt(ratio / (log_factor / 2.0)), decode});
+                  util::Table::Fmt(scaled_ratio), decode});
   }
   table.Print();
   std::printf(
       "ratio/log-factor ~ constant across the sweep: the SUBSAMPLE upper\n"
       "bound and the Theorem 13 lower bound differ only by the Lemma 9\n"
       "union-bound logarithm, i.e. uniform sampling is space optimal.\n");
+  std::printf("claim (every payload decodes, ratio/log-factor in [%.1f, "
+              "%.1f]): %s\n",
+              kBandLow, kBandHigh, holds ? "holds" : "FAILS");
+  return holds;
 }
 
 }  // namespace
 
-int main() {
-  Headline();
-  return 0;
-}
+int main() { return Headline() ? 0 : 1; }

@@ -6,31 +6,31 @@
 // Four kernels in the repo's stable bench schema
 //   {"kernel": str, "threads": int, "batch": int, "ns_per_query": float}:
 //
-//   ingest_rows   ns per row through the full pipeline (SPSC ring ->
-//                 ingest thread -> builder Observe), producer + ingest
+//   ingest_rows   ns per row through IngestService::Push (builder
+//                 Observe, one publish per block) on the calling
 //                 thread; `batch` is the length of each timed stream,
 //                 the reciprocal is rows/s sustained.
 //   ingest_rows@wal_sync=<policy>
-//                 the same pipeline with the write-ahead log enabled
-//                 under each sync policy (ingest/wal.h). Acceptance
-//                 bar: on_snapshot (the server default) must stay
-//                 within 1.2x of the no-WAL ingest_rows number, or the
-//                 bench exits nonzero. The two run as paired blocks (see
-//                 bench_util.h): each block streams rows/4 rows through
-//                 a fresh service that publishes -- and, with the WAL,
-//                 checkpoints -- once at its end, the snapshot density
-//                 of the full-stream runs, and the gate fails only when
-//                 the 99% lower confidence bound on the median per-pair
-//                 ratio exceeds 1.2.
+//                 the same Push with the write-ahead log enabled under
+//                 each sync policy (ingest/wal.h). Every row streams
+//                 blocks of rows/4 rows, each through a fresh service
+//                 that publishes -- and, with the WAL, checkpoints --
+//                 once at its end. Acceptance bar: on_snapshot (the
+//                 server default) must stay within 1.2x of the no-WAL
+//                 ingest_rows number, or the bench exits nonzero. The
+//                 two run as paired blocks (see bench_util.h), and the
+//                 gate fails only when the 99% lower confidence bound
+//                 on the median per-pair ratio exceeds 1.2. every_n and
+//                 every_record time one block each and gate nothing.
 //   publish       ns per snapshot publication: builder Summary ->
 //                 Engine::FromFile (the in-memory image, column section
 //                 transposed) -> SketchPod::Publish swap.
 //   query_idle    ns per estimate_many query against a published
 //                 snapshot with no ingest running (the baseline).
-//   query_steady  the same queries while the ingest thread churns rows
+//   query_steady  the same queries while a feeder thread pushes rows
 //                 and publishes into the same pod -- the build-while-
 //                 serve number; `threads` counts the query thread plus
-//                 the ingest thread.
+//                 the feeder.
 //
 // Every run also asserts the ingest invariant: the first published
 // snapshot answers estimate_many bit-identically to a one-shot
@@ -194,12 +194,12 @@ int main(int argc, char** argv) {
   }
   const double timed_rows = static_cast<double>(kWalPairs * block_rows);
   rows.push_back(
-      {"ingest_rows", 2, block_rows, wal_tax.baseline_ns / timed_rows});
-  rows.push_back({"ingest_rows@wal_sync=on_snapshot", 2, block_rows,
+      {"ingest_rows", 1, block_rows, wal_tax.baseline_ns / timed_rows});
+  rows.push_back({"ingest_rows@wal_sync=on_snapshot", 1, block_rows,
                   wal_tax.candidate_ns / timed_rows});
 
-  // -- ingest_rows@wal_sync=<the other policies>: the whole stream under
-  // each, snapshotting (and therefore checkpointing) every rows/4 rows.
+  // -- ingest_rows@wal_sync=<the other policies>: one rows/4 block under
+  // each, checkpointing once at its end.
   for (const ingest::WalSyncPolicy policy :
        {ingest::WalSyncPolicy::kEveryN, ingest::WalSyncPolicy::kEveryRecord}) {
     const std::string wal_dir =
@@ -214,16 +214,16 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < db.num_rows(); ++i) service->Push(db.Row(i));
+    for (std::size_t i = 0; i < block_rows; ++i) service->Push(db.Row(i));
     service->Finish();
-    const double ns = ElapsedNs(start) / static_cast<double>(stream_rows);
+    const double ns = ElapsedNs(start) / static_cast<double>(block_rows);
     if (service->wal_failed()) {
       std::fprintf(stderr, "error: WAL failed during the bench run\n");
       return 1;
     }
     rows.push_back({std::string("ingest_rows@wal_sync=") +
                         ingest::WalSyncPolicyName(policy),
-                    2, stream_rows, ns});
+                    1, block_rows, ns});
   }
   std::fprintf(stderr,
                "wal tax: on_snapshot / no-WAL per-pair median %.2fx, 99%% "
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
   }
 
   // -- publish: Summary -> FromFile -> Publish, on a warmed builder --
-  // exactly what the ingest thread does at every snapshot boundary.
+  // exactly what Push does at every snapshot boundary.
   serve::SketchPod pod;
   pod.AddStream("bench");
   {

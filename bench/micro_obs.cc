@@ -100,7 +100,6 @@ void PopulateServingShape(obs::MetricsRegistry& registry) {
     }
   }
   registry.GetCounter("ingest_rows_total")->Add(123456);
-  registry.GetGauge("ingest_ring_occupancy")->Set(17);
   registry.GetHistogram("ingest_publish_ns")->Record(2000000);
 }
 

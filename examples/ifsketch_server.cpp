@@ -396,11 +396,13 @@ int main(int argc, char** argv) {
   }
 
   // The feeder thread owns the whole ingest pipeline: it reads the
-  // stream header (d), creates the IngestService, pushes every row and
-  // drains at EOF. Snapshots land in the router via Publish (waking
-  // subscribers) and the latest one is kept for --ingest-save. Started
-  // after the listening line so scripts can already scrape the port
-  // while the stream is arriving.
+  // stream header (d), creates the IngestService, pushes every row (each
+  // Push logs, observes and, on a snapshot boundary, publishes on this
+  // thread) and finishes at EOF. Between rows it sleeps in the read.
+  // Snapshots land in the router via Publish (waking subscribers) and
+  // the latest one is kept for --ingest-save. Started after the
+  // listening line so scripts can already scrape the port while the
+  // stream is arriving.
   std::mutex snapshot_mu;
   std::shared_ptr<const Engine> last_snapshot;
   std::thread feeder;

@@ -4,12 +4,11 @@
 // (src/ingest/) maintains a STREAM-SUBSAMPLE summary in one pass and
 // constant memory -- the paper proves no streaming algorithm can
 // maintain asymptotically less state than this sample, so this is also
-// the right baseline architecture. Rows flow through the SPSC ring into
-// the dedicated ingest thread, which publishes an immutable Engine
-// snapshot into a SketchPod at the end of each phase; the monitor waits
+// the right baseline architecture. Each Push observes its row on the
+// calling thread, and the Push that ends a phase publishes an immutable
+// Engine snapshot into a SketchPod before it returns; the monitor waits
 // for the epoch to advance (exactly what a remote client does with the
-// SUBSCRIBE opcode) and mines the published snapshot while ingest of
-// the next phase could already be under way.
+// SUBSCRIBE opcode) and mines the published snapshot.
 
 #include <chrono>
 #include <cstdio>
@@ -70,8 +69,9 @@ int main() {
       service->Push(chunk.Row(i));
       full_log.AppendRow(chunk.Row(i));
     }
-    // Wait for the end-of-phase snapshot to publish (epoch phase+1),
-    // then query it -- the ingest thread keeps running independently.
+    // Wait for the end-of-phase snapshot (epoch phase+1), then query it.
+    // The Push of the phase's last row published it, so this returns at
+    // once here; a reader on another thread would block until it lands.
     serve::SnapshotState state;
     if (!pod.WaitForEpoch("live", static_cast<std::uint64_t>(phase),
                           std::chrono::milliseconds(60000), &state) ||

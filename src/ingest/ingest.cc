@@ -48,8 +48,6 @@ std::unique_ptr<IngestService> IngestService::Create(
   auto service = std::unique_ptr<IngestService>(new IngestService(
       options, std::move(publish), std::move(algorithm), streaming));
   if (!options.wal_dir.empty()) {
-    // Recovery happens here, before the ingest thread exists, so the
-    // replay owns the builder and the Rng without synchronization.
     WalOptions wal_options;
     wal_options.dir = options.wal_dir;
     wal_options.sync = options.wal_sync;
@@ -64,8 +62,14 @@ std::unique_ptr<IngestService> IngestService::Create(
     if (service->wal_ == nullptr) return fail("ingest: " + wal_error);
     service->rows_ingested_.store(service->recovery_.rows,
                                   std::memory_order_release);
+    // Publish the recovered state at once -- consumers should see it
+    // without waiting for new rows -- under its absolute row count, so
+    // the snapshot cadence (every rows_per_snapshot ABSOLUTE rows)
+    // matches an unbroken run.
+    if (service->recovery_.rows > 0) {
+      service->PublishSnapshot(service->recovery_.rows);
+    }
   }
-  service->Start();
   return service;
 }
 
@@ -80,70 +84,39 @@ IngestService::IngestService(IngestOptions options, PublishFn publish,
                             .GetCounter("ingest_snapshots_total")),
       publish_metric_(ResolveRegistry(options_.registry)
                           .GetHistogram("ingest_publish_ns")),
-      occupancy_metric_(ResolveRegistry(options_.registry)
-                            .GetGauge("ingest_ring_occupancy")),
       algorithm_(std::move(algorithm)),
       rng_(options_.seed),
-      builder_(streaming->NewBuilder(options_.d, options_.params, rng_)),
-      ring_(options_.ring_capacity) {}
-
-void IngestService::Start() {
-  thread_ = std::thread([this] { Run(); });
-}
+      builder_(streaming->NewBuilder(options_.d, options_.params, rng_)) {}
 
 IngestService::~IngestService() { Finish(); }
 
-void IngestService::Push(util::BitVector row) {
+void IngestService::Push(const util::BitVector& row) {
   IFSKETCH_CHECK(!finished_);
   IFSKETCH_CHECK_EQ(row.size(), options_.d);
-  while (!ring_.TryPush(std::move(row))) std::this_thread::yield();
+  // Write-ahead: the row reaches the log before the builder -- the
+  // recovered prefix therefore contains every row the builder ever
+  // observed. A log I/O failure latches durability off but ingest
+  // continues (availability over durability); the operator learns via
+  // stderr + wal_failed().
+  if (wal_ != nullptr && !wal_failed() && !wal_->Append(row)) {
+    std::fprintf(stderr,
+                 "ifsketch ingest: WAL failed, continuing without "
+                 "durability: %s\n",
+                 wal_->error().c_str());
+    wal_failed_.store(true, std::memory_order_release);
+  }
+  builder_->Observe(row);
+  const std::uint64_t rows =
+      rows_ingested_.load(std::memory_order_relaxed) + 1;
+  rows_ingested_.store(rows, std::memory_order_release);
+  rows_metric_->Add();
+  if (rows % options_.rows_per_snapshot == 0) PublishSnapshot(rows);
 }
 
 void IngestService::Finish() {
   if (finished_) return;
   finished_ = true;
-  stop_.store(true, std::memory_order_release);
-  // Create may fail after construction but before Start (WAL recovery
-  // refused the directory); the thread never ran then.
-  if (thread_.joinable()) thread_.join();
-}
-
-void IngestService::Run() {
-  // Recovery restored `recovery_.rows` rows into the builder before this
-  // thread started. Publish them immediately -- consumers should see the
-  // recovered state without waiting for new rows -- and keep the
-  // absolute row count, so the snapshot cadence (every
-  // rows_per_snapshot ABSOLUTE rows) matches an unbroken run.
-  std::uint64_t rows = recovery_.rows;
-  if (rows > 0) PublishSnapshot(rows);
-  util::BitVector row;
-  for (;;) {
-    if (!ring_.TryPop(&row)) {
-      // Re-check the ring after seeing stop: the producer sets stop only
-      // after its last Push, so stop + empty means fully drained.
-      if (stop_.load(std::memory_order_acquire) && ring_.Empty()) break;
-      std::this_thread::yield();
-      continue;
-    }
-    // Write-ahead: the row reaches the log before the builder -- the
-    // recovered prefix therefore contains every row the builder ever
-    // observed. A log I/O failure latches durability off but ingest
-    // continues (availability over durability); the operator learns via
-    // stderr + wal_failed().
-    if (wal_ != nullptr && !wal_failed() && !wal_->Append(row)) {
-      std::fprintf(stderr,
-                   "ifsketch ingest: WAL failed, continuing without "
-                   "durability: %s\n",
-                   wal_->error().c_str());
-      wal_failed_.store(true, std::memory_order_release);
-    }
-    builder_->Observe(row);
-    ++rows;
-    rows_ingested_.store(rows, std::memory_order_release);
-    rows_metric_->Add();
-    occupancy_metric_->Set(static_cast<std::int64_t>(ring_.SizeApprox()));
-    if (rows % options_.rows_per_snapshot == 0) PublishSnapshot(rows);
-  }
+  const std::uint64_t rows = rows_ingested();
   if (rows > last_published_rows_) PublishSnapshot(rows);
 }
 

@@ -3,16 +3,15 @@
 //
 // The paper's streaming claim (§1.2: row sampling is the optimal
 // streaming architecture) meets the serving stack here. An IngestService
-// owns a dedicated ingest thread fed through a bounded lock-free SPSC
-// ring (spsc_ring.h). The thread consumes transaction rows, advances a
-// sketch::StreamingBuilder (any registry algorithm implementing the
-// sketch::StreamingSketch mixin -- STREAM-SUBSAMPLE, STREAM-STRATIFIED,
-// STREAM-IMPORTANCE), and every rows_per_snapshot rows writes the
-// builder's summary into a full ifsketch::Engine via Engine::FromFile
-// and hands it to the publish callback. A published Engine is a ready
-// image: the same IFSK v2 bytes a saved and reopened snapshot would map,
-// in anonymous memory, with the column section of a row-major algorithm
-// (STREAM-SUBSAMPLE) already transposed on the ingest thread, so its
+// advances a sketch::StreamingBuilder (any registry algorithm
+// implementing the sketch::StreamingSketch mixin -- STREAM-SUBSAMPLE,
+// STREAM-STRATIFIED, STREAM-IMPORTANCE) on the thread that pushes each
+// row, and every rows_per_snapshot rows writes the builder's summary
+// into a full ifsketch::Engine via Engine::FromFile and hands it to the
+// publish callback before that Push returns. A published Engine is a
+// ready image: the same IFSK v2 bytes a saved and reopened snapshot
+// would map, in anonymous memory, with the column section of a
+// row-major algorithm (STREAM-SUBSAMPLE) already transposed, so its
 // first query decodes nothing. Snapshots are immutable: queries on an
 // already-published Engine never see later rows, and the callback
 // typically routes into serve::SketchPod::Publish, whose atomic
@@ -20,12 +19,15 @@
 // (in-flight queries finish on their own reference).
 //
 // Threading contract:
-//   - Exactly one producer thread calls Push / Finish (SPSC ring).
-//   - The ingest thread is the only toucher of the builder and the Rng,
-//     so builder state needs no locking; the publish callback runs on
-//     the ingest thread and must be safe to call from there.
-//   - rows_ingested() / snapshots_published() are atomic and readable
-//     from any thread.
+//   - One thread at a time calls Create / Push / Finish (and the
+//     destructor); a later caller must be ordered after the earlier one,
+//     e.g. by a thread join. The builder and the Rng therefore need no
+//     locking.
+//   - The publish callback runs on that thread: inside the Push whose row
+//     completes a snapshot, inside Create for a WAL-recovered state, and
+//     inside Finish for the partial tail.
+//   - rows_ingested() / snapshots_published() / wal_failed() are atomic
+//     and readable from any thread.
 //
 // Determinism contract (what the bit-identity tests enforce): snapshots
 // are published at exact row counts, builders only draw randomness in
@@ -40,10 +42,8 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "engine.h"
-#include "ingest/spsc_ring.h"
 #include "ingest/wal.h"
 #include "obs/metrics.h"
 #include "sketch/streaming.h"
@@ -64,10 +64,8 @@ struct IngestOptions {
   /// Publish a snapshot every this many ingested rows (and once more at
   /// Finish if rows remain since the last snapshot).
   std::size_t rows_per_snapshot = 10000;
-  /// SPSC ring size (rounded up to a power of two).
-  std::size_t ring_capacity = 1024;
   /// Metrics sink (ingest_rows_total, ingest_snapshots_total,
-  /// ingest_publish_ns, ingest_ring_occupancy -- see obs/metrics.h).
+  /// ingest_publish_ns -- see obs/metrics.h).
   /// nullptr = the process-wide default registry.
   obs::MetricsRegistry* registry = nullptr;
 
@@ -85,35 +83,38 @@ struct IngestOptions {
   util::FileSinkFactory wal_sink_factory;
 };
 
-/// Dedicated ingest thread + ring + streaming builder. See the file
-/// comment for the threading and determinism contracts.
+/// Streaming builder + optional WAL, advanced on the pushing thread. See
+/// the file comment for the threading and determinism contracts.
 class IngestService {
  public:
   /// Receives each published snapshot and the exact number of rows it
-  /// covers. Runs on the ingest thread.
+  /// covers. Runs on the thread calling Create / Push / Finish.
   using PublishFn =
       std::function<void(std::shared_ptr<const Engine>, std::uint64_t)>;
 
-  /// Resolves options.algorithm through the builtin registry and starts
-  /// the ingest thread. nullptr (with *error set when non-null) when the
-  /// algorithm is unknown or not streaming, or options are degenerate.
+  /// Resolves options.algorithm through the builtin registry and, with a
+  /// WAL, recovers from options.wal_dir and publishes the recovered state
+  /// before returning. nullptr (with *error set when non-null) when the
+  /// algorithm is unknown or not streaming, options are degenerate, or
+  /// the WAL directory is refused.
   static std::unique_ptr<IngestService> Create(const IngestOptions& options,
                                                PublishFn publish,
                                                std::string* error = nullptr);
 
-  /// Finishes (drains + final snapshot) if the caller never did.
+  /// Finishes (final snapshot) if the caller never did.
   ~IngestService();
 
   IngestService(const IngestService&) = delete;
   IngestService& operator=(const IngestService&) = delete;
 
-  /// Enqueues one row (width options.d). Blocks -- spinning with
-  /// yield -- while the ring is full. Producer thread only; must not be
-  /// called after Finish().
-  void Push(util::BitVector row);
+  /// Ingests one row (width options.d): appends it to the WAL, observes
+  /// it, and when it completes a rows_per_snapshot boundary checkpoints
+  /// and publishes before returning (a boundary row with a WAL takes a
+  /// checkpoint's fsyncs). Must not be called after Finish().
+  void Push(const util::BitVector& row);
 
-  /// Drains the ring, publishes a final snapshot of any rows not yet
-  /// covered by one, and joins the ingest thread. Idempotent.
+  /// Publishes a final snapshot of any rows not yet covered by one.
+  /// Idempotent.
   void Finish();
 
   /// Rows fully ingested (observed by the builder) so far.
@@ -144,15 +145,8 @@ class IngestService {
                 std::unique_ptr<core::SketchAlgorithm> algorithm,
                 const sketch::StreamingSketch* streaming);
 
-  /// Starts the ingest thread (after Create finished WAL recovery, so
-  /// the thread never races the recovery replay on the builder).
-  void Start();
-
-  /// Ingest-thread main loop.
-  void Run();
-
-  /// Builds an Engine from the builder's current state and hands it to
-  /// the publish callback. Ingest thread only.
+  /// Checkpoints the WAL, builds an Engine from the builder's current
+  /// state and hands it to the publish callback.
   void PublishSnapshot(std::uint64_t rows);
 
   IngestOptions options_;
@@ -160,20 +154,16 @@ class IngestService {
   obs::Counter* rows_metric_;        // ingest_rows_total
   obs::Counter* snapshots_metric_;   // ingest_snapshots_total
   obs::Histogram* publish_metric_;   // ingest_publish_ns
-  obs::Gauge* occupancy_metric_;     // ingest_ring_occupancy
   std::unique_ptr<core::SketchAlgorithm> algorithm_;  // keeps name alive
   util::Rng rng_;
   std::unique_ptr<sketch::StreamingBuilder> builder_;
   std::unique_ptr<Wal> wal_;    // nullptr when options_.wal_dir is empty
-  WalRecovery recovery_;        // set before the ingest thread starts
+  WalRecovery recovery_;        // set by Create
   std::atomic<bool> wal_failed_{false};
-  SpscRing<util::BitVector> ring_;
-  std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> rows_ingested_{0};
   std::atomic<std::uint64_t> snapshots_published_{0};
-  std::uint64_t last_published_rows_ = 0;  // ingest thread only
-  bool finished_ = false;                  // producer thread only
-  std::thread thread_;
+  std::uint64_t last_published_rows_ = 0;
+  bool finished_ = false;
 };
 
 }  // namespace ifsketch::ingest

@@ -71,9 +71,7 @@
 //   serve_sketch_epoch{pod=,sketch=}              gauge     published epoch
 //                                                           (cross-pod max -
 //                                                           value = lag)
-//   ingest_rows_total                             counter   rows drained from
-//                                                           the ring
-//   ingest_ring_occupancy                         gauge     rows waiting
+//   ingest_rows_total                             counter   rows ingested
 //   ingest_publish_ns                             histogram snapshot publish
 //                                                           latency
 //   ingest_snapshots_total                        counter   publishes

@@ -107,7 +107,7 @@ class SketchPod {
   /// Registers `name` as a stream-published sketch with no backing file:
   /// it serves nothing until the first Publish. False if the name is
   /// taken. (Publish auto-registers, so this exists to reserve the name
-  /// up front -- e.g. before the ingest thread starts.)
+  /// up front -- e.g. before the first row is pushed.)
   bool AddStream(const std::string& name);
 
   /// Atomically swaps in a freshly built snapshot for `name`,

@@ -5,7 +5,7 @@
 // Allocate hold a file read, bytes already in memory (streams, tests),
 // or an image a writer fills in place (sketch::WriteSketchImage, behind
 // built and published Engines) in a private anonymous mapping: out of
-// malloc, so snapshot images built on the ingest thread and freed on
+// malloc, so snapshot images built on the pushing thread and freed on
 // query threads cannot grow its per-thread arenas. Every image is
 // released by munmap when its last shared_ptr owner goes away, save that
 // the most recently released private image of up to 256 KiB is kept for

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "sketch/sketch_file.h"
 #include "sketch/streaming.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ifsketch::ingest {
 namespace {
@@ -47,7 +49,6 @@ IngestOptions Options(const std::string& algorithm,
   options.d = kColumns;
   options.seed = 17;
   options.rows_per_snapshot = rows_per_snapshot;
-  options.ring_capacity = 64;  // small: exercise the full-ring spin path
   return options;
 }
 
@@ -214,6 +215,41 @@ TEST(IngestServiceTest, EmptyStreamPublishesNothing) {
   EXPECT_EQ(service->snapshots_published(), 0u);
 }
 
+std::size_t ThreadsInProcess() {
+  std::size_t threads = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    static_cast<void>(task);
+    ++threads;
+  }
+  return threads;
+}
+
+// The service starts no thread: each row is ingested, and each snapshot
+// published, on the thread that pushes it, before that Push returns.
+TEST(IngestServiceTest, PushRunsOnTheCallersThread) {
+  util::ThreadPool::Default();  // started lazily; count only the service's
+  const std::size_t threads = ThreadsInProcess();
+  std::vector<std::thread::id> publishers;
+  auto service = IngestService::Create(
+      Options("STREAM-SUBSAMPLE", 1000),
+      [&](std::shared_ptr<const Engine>, std::uint64_t) {
+        publishers.push_back(std::this_thread::get_id());
+      });
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(ThreadsInProcess(), threads);
+  util::Rng rng(8);
+  const core::Database db = data::UniformRandom(2000, kColumns, 0.3, rng);
+  for (std::size_t i = 0; i < db.num_rows(); ++i) {
+    service->Push(db.Row(i));
+    ASSERT_EQ(publishers.size(), (i + 1) / 1000);
+  }
+  EXPECT_EQ(ThreadsInProcess(), threads);
+  service->Finish();
+  EXPECT_EQ(publishers, std::vector<std::thread::id>(
+                            2, std::this_thread::get_id()));
+}
+
 TEST(IngestServiceTest, CreateRejectsBadOptions) {
   const auto publish = [](std::shared_ptr<const Engine>, std::uint64_t) {};
   std::string error;
@@ -291,7 +327,7 @@ TEST(IngestServiceTest, SnapshotsSurviveSaveAndReopen) {
 }
 
 // Build-while-serve under TSan: queries hammer the pod's live snapshot
-// while the ingest thread publishes replacements into it. Correctness
+// while the pushing thread publishes replacements into it. Correctness
 // here is "every acquired snapshot answers like a private engine built
 // over the prefix it declares"; the tsan job additionally proves the
 // swap is race-free.

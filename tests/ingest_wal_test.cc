@@ -767,6 +767,9 @@ TEST(WalTest, IngestServiceRestartServesBitIdenticalSnapshots) {
         });
     ASSERT_NE(service, nullptr);
     EXPECT_EQ(service->recovery().rows, kBreakAt);
+    // The recovered state is published by the time Create returns.
+    ASSERT_EQ(published.size(), 1u);
+    EXPECT_EQ(published[0].second, kBreakAt);
     for (std::size_t i = kBreakAt; i < kTotal; ++i) service->Push(db.Row(i));
     service->Finish();
     EXPECT_EQ(service->rows_ingested(), kTotal);

@@ -240,7 +240,7 @@ TEST_F(ServeAllocTest, EngineBatchedAllocationsDoNotGrowWithTheBatch) {
 }
 
 // The first estimate_many on a fresh Engine::FromFile snapshot -- what
-// the ingest thread publishes -- builds its query view over the image's
+// IngestService publishes -- builds its query view over the image's
 // column section, so its allocations do not depend on d. A snapshot that
 // transposed its summary on the first query would allocate per column.
 TEST_F(ServeAllocTest, PublishedSnapshotFirstQueryDecodesNothing) {
