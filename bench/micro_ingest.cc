@@ -42,6 +42,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,12 +162,12 @@ int main(int argc, char** argv) {
   const std::size_t block_rows = stream_rows / 4;
   std::size_t wal_blocks = 0;
   bool wal_ok = true;
-  const auto ingest_block = [&](bool wal) {
+  const auto ingest_block = [&](std::optional<ingest::WalSyncPolicy> wal) {
     ingest::IngestOptions options = Options(block_rows);
     if (wal) {
       options.wal_dir =
           scratch.File("wal_block_" + std::to_string(wal_blocks++));
-      options.wal_sync = ingest::WalSyncPolicy::kOnSnapshot;
+      options.wal_sync = *wal;
     }
     auto service = ingest::IngestService::Create(
         options, [](std::shared_ptr<const Engine>, std::uint64_t) {});
@@ -183,47 +184,28 @@ int main(int argc, char** argv) {
     if (wal) std::filesystem::remove_all(options.wal_dir);
     return ns;
   };
-  ingest_block(false);  // warm both sides once
-  ingest_block(true);
+  constexpr auto kOnSnapshot = ingest::WalSyncPolicy::kOnSnapshot;
+  ingest_block(std::nullopt);  // warm both sides once
+  ingest_block(kOnSnapshot);
   const bench::PairedRatio wal_tax = bench::RunPairedBlocks(
-      kWalPairs, [&] { return ingest_block(false); },
-      [&] { return ingest_block(true); });
-  if (!wal_ok) {
-    std::fprintf(stderr, "error: WAL failed during the bench run\n");
-    return 1;
-  }
+      kWalPairs, [&] { return ingest_block(std::nullopt); },
+      [&] { return ingest_block(kOnSnapshot); });
   const double timed_rows = static_cast<double>(kWalPairs * block_rows);
   rows.push_back(
       {"ingest_rows", 1, block_rows, wal_tax.baseline_ns / timed_rows});
   rows.push_back({"ingest_rows@wal_sync=on_snapshot", 1, block_rows,
                   wal_tax.candidate_ns / timed_rows});
-
-  // -- ingest_rows@wal_sync=<the other policies>: one rows/4 block under
-  // each, checkpointing once at its end.
+  // -- ingest_rows@wal_sync=<the other policies>: one block each.
   for (const ingest::WalSyncPolicy policy :
        {ingest::WalSyncPolicy::kEveryN, ingest::WalSyncPolicy::kEveryRecord}) {
-    const std::string wal_dir =
-        scratch.File(std::string("wal_") + ingest::WalSyncPolicyName(policy));
-    ingest::IngestOptions options = Options(block_rows);
-    options.wal_dir = wal_dir;
-    options.wal_sync = policy;
-    auto service = ingest::IngestService::Create(
-        options, [](std::shared_ptr<const Engine>, std::uint64_t) {});
-    if (service == nullptr) {
-      std::fprintf(stderr, "error: cannot open WAL in %s\n", wal_dir.c_str());
-      return 1;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < block_rows; ++i) service->Push(db.Row(i));
-    service->Finish();
-    const double ns = ElapsedNs(start) / static_cast<double>(block_rows);
-    if (service->wal_failed()) {
-      std::fprintf(stderr, "error: WAL failed during the bench run\n");
-      return 1;
-    }
     rows.push_back({std::string("ingest_rows@wal_sync=") +
                         ingest::WalSyncPolicyName(policy),
-                    1, block_rows, ns});
+                    1, block_rows,
+                    ingest_block(policy) / static_cast<double>(block_rows)});
+  }
+  if (!wal_ok) {
+    std::fprintf(stderr, "error: WAL failed during the bench run\n");
+    return 1;
   }
   std::fprintf(stderr,
                "wal tax: on_snapshot / no-WAL per-pair median %.2fx, 99%% "
