@@ -12,7 +12,7 @@
 // which is the paper's "sampling is optimal" conclusion. A verification
 // column confirms the payload really is decodable from the summary.
 //
-// The claim is checked, not just printed: the driver exits 1 unless every
+// The claim is checked, not just printed: the program exits 1 unless every
 // payload decodes exactly and every ratio / log-factor lies in
 // [kBandLow, kBandHigh]. The ratio reads 4.00 on every shape; a sample
 // count off by a constant factor (a quarter of it reads 1.00) leaves the
